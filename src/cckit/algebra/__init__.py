@@ -1,13 +1,7 @@
 """Exact scalar arithmetic: charts, sparse polynomials, rational functions."""
 
 from .chart import Chart
-from .linalg import (
-    PIVOT_FIRST,
-    PIVOT_MIN_DEGREE,
-    LinearSolveError,
-    rational_nullspace,
-    solve_unique,
-)
+from .linalg import LinearSolveError, rational_nullspace, solve_unique
 from .parser import ParseError, format_poly, format_scalar, parse_scalar
 from .poly import Poly, TermLimitExceeded, grlex_key, refresh_term_limit
 from .scalar import PoleError, Scalar, ScalarDivisionError
@@ -16,8 +10,6 @@ __all__ = [
     "Chart",
     "LinearSolveError",
     "ParseError",
-    "PIVOT_FIRST",
-    "PIVOT_MIN_DEGREE",
     "PoleError",
     "Poly",
     "Scalar",

@@ -6,10 +6,6 @@ from fractions import Fraction
 
 from .scalar import Scalar
 
-PIVOT_MIN_DEGREE = "min_degree"
-PIVOT_FIRST = "first"
-
-
 class LinearSolveError(ValueError):
     pass
 
@@ -22,19 +18,14 @@ def _weight(entry: Scalar) -> tuple[int, int]:
 
 
 def solve_unique(
-    rows: list[list[Scalar]],
-    rhs_columns: list[list[Scalar]],
-    pivot: str = PIVOT_MIN_DEGREE,
+    rows: list[list[Scalar]], rhs_columns: list[list[Scalar]]
 ) -> list[list[Scalar]]:
     """Solve A x = b over the rational-function field for each rhs column.
 
     Requires the system to have exactly one solution per column; raises
     LinearSolveError when the system is inconsistent or underdetermined.
-    Full pivoting; `pivot` chooses the candidate among nonzero entries
-    (lowest combined degree, or first found).
+    Full pivoting on the nonzero entry of lowest combined degree.
     """
-    if pivot not in (PIVOT_MIN_DEGREE, PIVOT_FIRST):
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
     m = len(rows)
     if not m:
         raise LinearSolveError("empty system")
@@ -52,14 +43,9 @@ def solve_unique(
                 entry = aug[i][j]
                 if entry.is_zero():
                     continue
-                if pivot == PIVOT_FIRST:
-                    best = (i, j)
-                    break
                 weight = _weight(entry)
                 if best_weight is None or weight < best_weight:
                     best, best_weight = (i, j), weight
-            if best is not None and pivot == PIVOT_FIRST:
-                break
         if best is None:
             break
         i, j = best

@@ -8,9 +8,11 @@ Grammar (whitespace-insensitive)::
     power  := atom ("^" INT)?
     atom   := INT | NAME | "(" expr ")"
 
-Exponents are literal non-negative integers.  Every error carries the
-0-based position of the offending token.  The printer emits the same
-grammar, so parse(format(s)) == s for every scalar s.
+Exponents are literal non-negative integers.  Parentheses and unary
+minus signs together nest at most MAX_NESTING deep, which keeps the
+recursive descent inside the interpreter's recursion limit.  Every
+error carries the 0-based position of the offending token.  The printer
+emits the same grammar, so parse(format(s)) == s for every scalar s.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -68,6 +72,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.chart = chart
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -76,6 +81,12 @@ class _Parser:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
+
+    def enter(self, position: int) -> None:
+        """Open one nesting level at the token at `position`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
 
     def expect_op(self, op: str) -> None:
         kind, text, position = self.peek()
@@ -118,10 +129,13 @@ class _Parser:
                 return value
 
     def unary(self) -> Scalar:
-        kind, text, _ = self.peek()
+        kind, text, position = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.unary()
+            self.enter(position)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> Scalar:
@@ -149,8 +163,10 @@ class _Parser:
                 raise ParseError(f"unknown coordinate {text!r}", position) from None
             return Scalar.variable(self.chart.dim, index)
         if kind == "op" and text == "(":
+            self.enter(position)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",
                          position)

@@ -131,6 +131,13 @@ class _Tensor:
     def is_zero(self) -> bool:
         return not self.comps
 
+    def scalar(self) -> Scalar:
+        if self.degree != 0:
+            raise DegreeError(
+                f"only a degree-0 {type(self).__name__} collapses to a scalar"
+            )
+        return self.comps.get((), Scalar.zero(self.chart.dim))
+
     # -- arithmetic --------------------------------------------------------
 
     def _compatible(self, other: "_Tensor") -> None:
@@ -193,19 +200,9 @@ class _Tensor:
 class DiffForm(_Tensor):
     """Differential p-form with rational-function components."""
 
-    def scalar(self) -> Scalar:
-        if self.degree != 0:
-            raise DegreeError("only a 0-form collapses to a scalar")
-        return self.comps.get((), Scalar.zero(self.chart.dim))
-
 
 class Multivector(_Tensor):
     """Antisymmetric contravariant p-vector field."""
-
-    def scalar(self) -> Scalar:
-        if self.degree != 0:
-            raise DegreeError("only a 0-vector collapses to a scalar")
-        return self.comps.get((), Scalar.zero(self.chart.dim))
 
 
 def zero_form(chart: Chart, degree: int) -> DiffForm:

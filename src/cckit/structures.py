@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import (
-    PIVOT_MIN_DEGREE,
-    Chart,
-    LinearSolveError,
-    Scalar,
-    solve_unique,
-)
+from .algebra import Chart, LinearSolveError, Scalar, solve_unique
 from .exterior import (
     DiffForm,
     Multivector,
@@ -131,7 +125,7 @@ def is_almost_cosymplectic_contact(pair: CovariantPair) -> bool:
     )
 
 
-def dualize(pair: CovariantPair, *, pivot: str = PIVOT_MIN_DEGREE) -> ContravariantPair:
+def dualize(pair: CovariantPair) -> ContravariantPair:
     """Solve for the unique dual (E, Lambda) of a regular pair.
 
     Raises NotRegular when the density vanishes identically and
@@ -151,7 +145,7 @@ def dualize(pair: CovariantPair, *, pivot: str = PIVOT_MIN_DEGREE) -> Contravari
 
     rhs_e = [zero] * dim + [one]
     try:
-        (e_column,) = solve_unique(rows, [rhs_e], pivot=pivot)
+        (e_column,) = solve_unique(rows, [rhs_e])
     except LinearSolveError as error:
         raise DualityError(f"Reeb solve failed: {error}") from error
     e_field = Multivector(
@@ -167,7 +161,7 @@ def dualize(pair: CovariantPair, *, pivot: str = PIVOT_MIN_DEGREE) -> Contravari
         column.append(zero)
         lam_rhs.append(column)
     try:
-        lam_columns = solve_unique(rows, lam_rhs, pivot=pivot)
+        lam_columns = solve_unique(rows, lam_rhs)
     except LinearSolveError as error:
         raise DualityError(f"bivector solve failed: {error}") from error
 
@@ -333,9 +327,11 @@ def verify_contravariant_identities(
     chart = cov.chart
     closedness = exterior_derivative(cov.Omega)
     tau = lie_derivative_form(con.E, cov.omega)
-    e_lam = schouten_bracket(con.E, con.Lam) + wedge(con.E, sharp(con, tau))
+    e_lam_bracket = schouten_bracket(con.E, con.Lam)
+    lam_lam_bracket = schouten_bracket(con.Lam, con.Lam)
+    e_lam = e_lam_bracket + wedge(con.E, sharp(con, tau))
     pulled = two_form_through_sharp(con, exterior_derivative(cov.omega))
-    lam_lam = schouten_bracket(con.Lam, con.Lam) - wedge(con.E, pulled).scale(2)
+    lam_lam = lam_lam_bracket - wedge(con.E, pulled).scale(2)
     entries = [
         CheckEntry.of("closedness d Omega = 0", closedness),
         CheckEntry.of(
@@ -349,27 +345,22 @@ def verify_contravariant_identities(
     if kind == StructureClass.COSYMPLECTIC:
         entries.append(
             CheckEntry.of(
-                "cosymplectic specialization [E, Lambda] = 0",
-                schouten_bracket(con.E, con.Lam),
+                "cosymplectic specialization [E, Lambda] = 0", e_lam_bracket
             )
         )
         entries.append(
             CheckEntry.of(
-                "cosymplectic specialization [Lambda, Lambda] = 0",
-                schouten_bracket(con.Lam, con.Lam),
+                "cosymplectic specialization [Lambda, Lambda] = 0", lam_lam_bracket
             )
         )
     elif kind == StructureClass.CONTACT:
         entries.append(
-            CheckEntry.of(
-                "contact specialization [E, Lambda] = 0",
-                schouten_bracket(con.E, con.Lam),
-            )
+            CheckEntry.of("contact specialization [E, Lambda] = 0", e_lam_bracket)
         )
         entries.append(
             CheckEntry.of(
                 "contact specialization [Lambda, Lambda] + 2 E ^ Lambda = 0",
-                schouten_bracket(con.Lam, con.Lam) + wedge(con.E, con.Lam).scale(2),
+                lam_lam_bracket + wedge(con.E, con.Lam).scale(2),
             )
         )
     return ConditionReport("contravariant bracket identities", tuple(entries))

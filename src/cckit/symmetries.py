@@ -182,33 +182,49 @@ def pair_bracket(
 
 
 def _bracket_formula(s: _Setting, g1: GeneratorPair, g2: GeneratorPair) -> GeneratorPair:
-    chart = s.cov.chart
-    e_field = s.con.E
+    """The transverse terms plus h1 R(g2) - h2 R(g1).
+
+    R(g) = (L_E alpha - alpha(E) L_E omega, E.h + Lambda(L_E omega, alpha))
+    is the Reeb transport of g.
+    """
+    core = _transverse_terms(s, g1, g2)
+    h1, h2 = g1.h, g2.h
+    alpha_out = (
+        core.alpha
+        + _reeb_form(s, g2.alpha).scale(h1)
+        - _reeb_form(s, g1.alpha).scale(h2)
+    )
+    h_out = (
+        core.h
+        + h1 * _reeb_scalar_residual(s, g2)
+        - h2 * _reeb_scalar_residual(s, g1)
+    )
+    return GeneratorPair(alpha_out, h_out)
+
+
+def _transverse_terms(
+    s: _Setting, g1: GeneratorPair, g2: GeneratorPair
+) -> GeneratorPair:
+    """The bracket terms without Reeb transport (the E_sym reduced bracket)."""
     a1, h1 = g1.alpha, g1.h
     a2, h2 = g2.alpha, g2.h
     a1s = sharp(s.con, a1)
     a2s = sharp(s.con, a2)
-    a1_e = form_on_vector(a1, e_field)
-    a2_e = form_on_vector(a2, e_field)
-    lam12 = form_on_vector(a2, a1s)  # Lambda(alpha1, alpha2)
-
-    alpha_out = (
-        _grad(lam12, chart)
+    a1_e = form_on_vector(a1, s.con.E)
+    a2_e = form_on_vector(a2, s.con.E)
+    alpha = (
+        _grad(form_on_vector(a2, a1s), s.cov.chart)  # d Lambda(alpha1, alpha2)
         - _contract(a2s, exterior_derivative(a1))
         + _contract(a1s, exterior_derivative(a2))
         + _contract(a2s, s.d_omega).scale(a1_e)
         - _contract(a1s, s.d_omega).scale(a2_e)
-        + (lie_derivative_form(e_field, a2) - s.tau.scale(a2_e)).scale(h1)
-        - (lie_derivative_form(e_field, a1) - s.tau.scale(a1_e)).scale(h2)
     )
-    h_out = (
+    h = (
         lie_derivative_scalar(a1s, h2)
         - lie_derivative_scalar(a2s, h1)
         - pairing(s.d_omega, a1s, a2s)
-        + h1 * (lie_derivative_scalar(e_field, h2) + lambda_pair(s.con, s.tau, a2))
-        - h2 * (lie_derivative_scalar(e_field, h1) + lambda_pair(s.con, s.tau, a1))
     )
-    return GeneratorPair(alpha_out, h_out)
+    return GeneratorPair(alpha, h)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +261,15 @@ def _closed_kernel_residual(s: _Setting, g: GeneratorPair) -> DiffForm:
     return exterior_derivative(_canonical_alpha(s, g.alpha))
 
 
+def _reeb_form(s: _Setting, alpha: DiffForm) -> DiffForm:
+    """L_E alpha - alpha(E) L_E omega: the 1-form slot of the Reeb transport."""
+    a_e = form_on_vector(alpha, s.con.E)
+    return lie_derivative_form(s.con.E, alpha) - s.tau.scale(a_e)
+
+
 def _reeb_vector_residual(s: _Setting, g: GeneratorPair) -> Multivector:
     """(L_E alpha - alpha(E) L_E omega)#: the vector part of [X, E]."""
-    a_e = form_on_vector(g.alpha, s.con.E)
-    return sharp(s.con, lie_derivative_form(s.con.E, g.alpha) - s.tau.scale(a_e))
+    return sharp(s.con, _reeb_form(s, g.alpha))
 
 
 def _two_sharp_residual(s: _Setting, g: GeneratorPair) -> Multivector:
@@ -266,77 +287,46 @@ def _lambda_headline_residual(s: _Setting, g: GeneratorPair) -> Multivector:
     return schouten_bracket(a_sharp, s.con.Lam) - wedge(s.con.E, correction)
 
 
+# Each generator condition once: name -> (label, residual builder).
+_CONDITIONS = {
+    "one_form": (
+        "1-form residual i_{alpha#} d omega + h i_E d omega + dh", _omega_residual
+    ),
+    "reeb_scalar": (
+        "Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual
+    ),
+    "image": (
+        "Lambda#-image component of the 1-form residual", _image_vector_residual
+    ),
+    "closed_kernel": (
+        "closedness of the canonical representative d(alpha - alpha(E) omega)",
+        _closed_kernel_residual,
+    ),
+    "reeb_vector": (
+        "vector part (L_E alpha - alpha(E) L_E omega)#", _reeb_vector_residual
+    ),
+    "lambda_headline": (
+        "bivector residual [alpha#, Lambda] - E ^ (dh + h L_E omega)#",
+        _lambda_headline_residual,
+    ),
+    "two_sharp": (
+        "(d alpha - alpha(E) d omega) through (Lambda#, Lambda#)",
+        _two_sharp_residual,
+    ),
+}
+
+# target -> the conditions that cut it out, in report order
 _CONDITION_BUILDERS = {
-    SymmetryTarget.omega: (
-        ("1-form residual i_{alpha#} d omega + h i_E d omega + dh", _omega_residual),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-    ),
-    SymmetryTarget.Omega: (
-        (
-            "closedness of the canonical representative d(alpha - alpha(E) omega)",
-            _closed_kernel_residual,
-        ),
-    ),
-    SymmetryTarget.E: (
-        ("vector part (L_E alpha - alpha(E) L_E omega)#", _reeb_vector_residual),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-    ),
-    SymmetryTarget.Lambda: (
-        (
-            "bivector residual [alpha#, Lambda] - E ^ (dh + h L_E omega)#",
-            _lambda_headline_residual,
-        ),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-        (
-            "(d alpha - alpha(E) d omega) through (Lambda#, Lambda#)",
-            _two_sharp_residual,
-        ),
-    ),
-    SymmetryTarget.cov_pair: (
-        (
-            "closedness of the canonical representative d(alpha - alpha(E) omega)",
-            _closed_kernel_residual,
-        ),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-    ),
-    SymmetryTarget.contra_pair: (
-        ("vector part (L_E alpha - alpha(E) L_E omega)#", _reeb_vector_residual),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-        (
-            "(d alpha - alpha(E) d omega) through (Lambda#, Lambda#)",
-            _two_sharp_residual,
-        ),
-    ),
-    SymmetryTarget.E_Omega: (
-        (
-            "closedness of the canonical representative d(alpha - alpha(E) omega)",
-            _closed_kernel_residual,
-        ),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-    ),
-    SymmetryTarget.Lambda_Omega: (
-        (
-            "closedness of the canonical representative d(alpha - alpha(E) omega)",
-            _closed_kernel_residual,
-        ),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-    ),
-    SymmetryTarget.E_omega: (
-        ("vector part (L_E alpha - alpha(E) L_E omega)#", _reeb_vector_residual),
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-    ),
-    SymmetryTarget.Lambda_omega: (
-        ("Reeb component E.h + Lambda(L_E omega, alpha)", _reeb_scalar_residual),
-        ("Lambda#-image component of the 1-form residual", _image_vector_residual),
-        (
-            "(d alpha - alpha(E) d omega) through (Lambda#, Lambda#)",
-            _two_sharp_residual,
-        ),
-    ),
+    SymmetryTarget.omega: ("one_form", "reeb_scalar", "image"),
+    SymmetryTarget.Omega: ("closed_kernel",),
+    SymmetryTarget.E: ("reeb_vector", "reeb_scalar"),
+    SymmetryTarget.Lambda: ("lambda_headline", "image", "two_sharp"),
+    SymmetryTarget.cov_pair: ("closed_kernel", "reeb_scalar", "image"),
+    SymmetryTarget.contra_pair: ("reeb_vector", "reeb_scalar", "image", "two_sharp"),
+    SymmetryTarget.E_Omega: ("closed_kernel", "reeb_scalar"),
+    SymmetryTarget.Lambda_Omega: ("closed_kernel", "image"),
+    SymmetryTarget.E_omega: ("reeb_vector", "reeb_scalar", "image"),
+    SymmetryTarget.Lambda_omega: ("reeb_scalar", "image", "two_sharp"),
 }
 
 
@@ -352,12 +342,22 @@ def check_generator_conditions(
     failures, never as exceptions.
     """
     s = _setting(cov, con)
+    conditions = [_CONDITIONS[name] for name in _CONDITION_BUILDERS[target]]
     entries = tuple(
-        CheckEntry.of(label, builder(s, g))
-        for label, builder in _CONDITION_BUILDERS[target]
+        CheckEntry.of(label, builder(s, g)) for label, builder in conditions
     )
     return ConditionReport(f"generator conditions for target {target.value}", entries)
 
+
+# field -> (label, residual of X against the field); the residuals look the
+# calculus functions up when called, so rebinding them here (as a tracer
+# does) takes effect
+_DIRECT_CHECKS = {
+    "omega": ("L_X omega", lambda cov, con, x: lie_derivative_form(x, cov.omega)),
+    "Omega": ("L_X Omega", lambda cov, con, x: lie_derivative_form(x, cov.Omega)),
+    "E": ("[X, E]", lambda cov, con, x: schouten_bracket(x, con.E)),
+    "Lambda": ("[X, Lambda]", lambda cov, con, x: schouten_bracket(x, con.Lam)),
+}
 
 _DIRECT_FIELDS = {
     SymmetryTarget.omega: ("omega",),
@@ -382,23 +382,11 @@ def check_symmetry_direct(
     """Direct Lie-derivative certification that X preserves the target."""
     if x.degree != 1:
         raise StructureError("symmetry candidate must be a vector field")
-    entries = []
-    for field in _DIRECT_FIELDS[target]:
-        if field == "omega":
-            entries.append(
-                CheckEntry.of("L_X omega", lie_derivative_form(x, cov.omega))
-            )
-        elif field == "Omega":
-            entries.append(
-                CheckEntry.of("L_X Omega", lie_derivative_form(x, cov.Omega))
-            )
-        elif field == "E":
-            entries.append(CheckEntry.of("[X, E]", schouten_bracket(x, con.E)))
-        else:
-            entries.append(
-                CheckEntry.of("[X, Lambda]", schouten_bracket(x, con.Lam))
-            )
-    return ConditionReport(f"direct symmetry of {target.value}", tuple(entries))
+    checks = [_DIRECT_CHECKS[field] for field in _DIRECT_FIELDS[target]]
+    entries = tuple(
+        CheckEntry.of(label, residual(cov, con, x)) for label, residual in checks
+    )
+    return ConditionReport(f"direct symmetry of {target.value}", entries)
 
 
 @dataclass(frozen=True)
@@ -502,35 +490,20 @@ def reduced_bracket(
     a2s = sharp(s.con, a2)
     a1_e = form_on_vector(a1, e_field)
     a2_e = form_on_vector(a2, e_field)
-    lam12 = form_on_vector(a2, a1s)
-    d_lam12 = _grad(lam12, chart)
-    grad_h1 = _grad(h1, chart)
-    grad_h2 = _grad(h2, chart)
+    d_lam12 = _grad(form_on_vector(a2, a1s), chart)
 
-    def h_plain() -> Scalar:
-        return (
-            lie_derivative_scalar(a1s, h2)
-            - lie_derivative_scalar(a2s, h1)
-            - pairing(s.d_omega, a1s, a2s)
-        )
+    if mode == BracketMode.Omega_sym:
+        return GeneratorPair(d_lam12, _bracket_formula(s, g1, g2).h)
 
+    core = _transverse_terms(s, g1, g2)
     if mode == BracketMode.omega_sym:
-        alpha_one = (
-            d_lam12
-            - _contract(a2s, exterior_derivative(a1))
-            + _contract(a1s, exterior_derivative(a2))
-            + _contract(a2s, s.d_omega).scale(a1_e)
-            - _contract(a1s, s.d_omega).scale(a2_e)
-            + (lie_derivative_form(e_field, a2) - s.tau.scale(a2_e)).scale(h1)
-            - (lie_derivative_form(e_field, a1) - s.tau.scale(a1_e)).scale(h2)
-        )
-        h_one = h_plain()
+        alpha_one = _bracket_formula(s, g1, g2).alpha
         alpha_two = (
             d_lam12
             - _contract(a2s, exterior_derivative(a1))
             + _contract(a1s, exterior_derivative(a2))
-            - grad_h2.scale(a1_e)
-            + grad_h1.scale(a2_e)
+            - _grad(h2, chart).scale(a1_e)
+            + _grad(h1, chart).scale(a2_e)
             + lie_derivative_form(e_field, a2).scale(h1)
             - lie_derivative_form(e_field, a1).scale(h2)
         )
@@ -539,30 +512,11 @@ def reduced_bracket(
             + h1 * pairing(s.d_omega, e_field, a2s)
             - h2 * pairing(s.d_omega, e_field, a1s)
         )
-        if alpha_one != alpha_two or h_one != h_two:
+        if alpha_one != alpha_two or core.h != h_two:
             raise InternalIdentityError("omega_sym displays disagree")
-        return GeneratorPair(alpha_one, h_one)
-
-    if mode == BracketMode.Omega_sym:
-        h_out = (
-            lie_derivative_scalar(a1s, h2)
-            - lie_derivative_scalar(a2s, h1)
-            - pairing(s.d_omega, a1s, a2s)
-            + h1
-            * (lie_derivative_scalar(e_field, h2) + lambda_pair(s.con, s.tau, a2))
-            - h2
-            * (lie_derivative_scalar(e_field, h1) + lambda_pair(s.con, s.tau, a1))
-        )
-        return GeneratorPair(d_lam12, h_out)
+        return GeneratorPair(alpha_one, core.h)
 
     if mode == BracketMode.E_sym:
-        alpha_one = (
-            d_lam12
-            - _contract(a2s, exterior_derivative(a1))
-            + _contract(a1s, exterior_derivative(a2))
-            + _contract(a2s, s.d_omega).scale(a1_e)
-            - _contract(a1s, s.d_omega).scale(a2_e)
-        )
         alpha_two = (
             -d_lam12
             - lie_derivative_form(a2s, a1)
@@ -570,12 +524,11 @@ def reduced_bracket(
             + lie_derivative_form(a2s, s.cov.omega).scale(a1_e)
             - lie_derivative_form(a1s, s.cov.omega).scale(a2_e)
         )
-        if alpha_one != alpha_two:
+        if core.alpha != alpha_two:
             raise InternalIdentityError("E_sym displays disagree")
-        return GeneratorPair(alpha_one, h_plain())
+        return core
 
     # full_sym: three displays of the function slot
-    h_one = h_plain()
     h_two = (
         pairing(s.d_omega, a1s, a2s)
         + h2 * lambda_pair(s.con, s.tau, a1)
@@ -586,9 +539,9 @@ def reduced_bracket(
         + h1 * lie_derivative_scalar(e_field, h2)
         - h2 * lie_derivative_scalar(e_field, h1)
     )
-    if h_one != h_two or h_one != h_three:
+    if core.h != h_two or core.h != h_three:
         raise InternalIdentityError("full_sym displays disagree")
-    return GeneratorPair(d_lam12, h_one)
+    return GeneratorPair(d_lam12, core.h)
 
 
 def closure_check_Omega(
@@ -625,6 +578,23 @@ def closure_check_Omega(
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------
+
+
+def _slot_entries(
+    con: ContravariantPair, difference: GeneratorPair, identity: str
+) -> tuple[CheckEntry, CheckEntry]:
+    """Both slots of a pair identity, the 1-form slot compared through Lambda#."""
+    return (
+        CheckEntry.of(f"vector slot of the {identity}", sharp(con, difference.alpha)),
+        CheckEntry.of(f"function slot of the {identity}", difference.h),
+    )
+
+
+def _verdict(label: str, report: ConditionReport) -> CheckEntry:
+    """One entry standing for a whole precondition report."""
+    return CheckEntry.verdict(
+        label, report.ok, [entry.residual for entry in report.failures()]
+    )
 
 
 def leibniz_defect(
@@ -751,13 +721,10 @@ def derivation_check_D(
     rhs = pair_bracket(cov, con, pair_bracket(cov, con, g1, g2), g3) + pair_bracket(
         cov, con, g2, pair_bracket(cov, con, g1, g3)
     )
-    difference = lhs - rhs
-    entries = (
-        CheckEntry.of("vector slot of the derivation identity",
-                      sharp(con, difference.alpha)),
-        CheckEntry.of("function slot of the derivation identity", difference.h),
+    return ConditionReport(
+        "bracket derivation identity",
+        _slot_entries(con, lhs - rhs, "derivation identity"),
     )
-    return ConditionReport("bracket derivation identity", entries)
 
 
 def derivation_check_LX(
@@ -772,48 +739,32 @@ def derivation_check_LX(
     Preconditions (X preserves omega and Omega; g1, g2 generate full
     symmetries) are reported individually rather than raised.
     """
-    entries: list[CheckEntry] = []
-    x_report = check_symmetry_direct(cov, con, x, SymmetryTarget.cov_pair)
-    entries.append(
-        CheckEntry.verdict(
-            "X preserves omega and Omega",
-            x_report.ok,
-            [entry.residual for entry in x_report.failures()],
+    full = SymmetryTarget.cov_pair
+    entries = [
+        _verdict(
+            "X preserves omega and Omega", check_symmetry_direct(cov, con, x, full)
         )
-    )
+    ]
     for role, g in (("first", g1), ("second", g2)):
-        g_report = check_generator_conditions(cov, con, g, SymmetryTarget.cov_pair)
         entries.append(
-            CheckEntry.verdict(
+            _verdict(
                 f"{role} pair generates a full symmetry",
-                g_report.ok,
-                [entry.residual for entry in g_report.failures()],
+                check_generator_conditions(cov, con, g, full),
             )
         )
     for role, g in (("first", g1), ("second", g2)):
         transported = lie_derivative_pair(cov, con, x, g)
-        t_report = check_generator_conditions(
-            cov, con, transported, SymmetryTarget.cov_pair
-        )
         entries.append(
-            CheckEntry.verdict(
+            _verdict(
                 f"transported {role} pair stays a full symmetry",
-                t_report.ok,
-                [entry.residual for entry in t_report.failures()],
+                check_generator_conditions(cov, con, transported, full),
             )
         )
     lhs = lie_derivative_pair(cov, con, x, pair_bracket(cov, con, g1, g2))
     rhs = pair_bracket(
         cov, con, lie_derivative_pair(cov, con, x, g1), g2
     ) + pair_bracket(cov, con, g1, lie_derivative_pair(cov, con, x, g2))
-    difference = lhs - rhs
-    entries.append(
-        CheckEntry.of("vector slot of the derivation identity",
-                      sharp(con, difference.alpha))
-    )
-    entries.append(
-        CheckEntry.of("function slot of the derivation identity", difference.h)
-    )
+    entries.extend(_slot_entries(con, lhs - rhs, "derivation identity"))
     return ConditionReport("transport derivation identity", tuple(entries))
 
 
@@ -833,14 +784,23 @@ def antisymmetrization_identity(
         lie_derivative_pair(cov, con, x1, g2)
         - lie_derivative_pair(cov, con, x2, g1)
     ).scale(Fraction(1, 2))
-    difference = pair_bracket(cov, con, g1, g2) - averaged
-    entries = (
-        CheckEntry.of("vector slot of the averaged-transport identity",
-                      sharp(con, difference.alpha)),
-        CheckEntry.of("function slot of the averaged-transport identity",
-                      difference.h),
+    return ConditionReport(
+        "averaged-transport form of the bracket",
+        _slot_entries(
+            con,
+            pair_bracket(cov, con, g1, g2) - averaged,
+            "averaged-transport identity",
+        ),
     )
-    return ConditionReport("averaged-transport form of the bracket", entries)
+
+
+def _sharp_transport_residual(
+    con: ContravariantPair, x: Multivector, beta: DiffForm
+) -> Multivector:
+    """(L_X beta)# - L_X(beta#)."""
+    return sharp(con, lie_derivative_form(x, beta)) - schouten_bracket(
+        x, sharp(con, beta)
+    )
 
 
 def musical_commutation_check(
@@ -856,9 +816,7 @@ def musical_commutation_check(
     """
     if beta.degree != 1:
         raise StructureError("commutation check takes a 1-form")
-    residual = sharp(con, lie_derivative_form(x, beta)) - schouten_bracket(
-        x, sharp(con, beta)
-    )
+    residual = _sharp_transport_residual(con, x, beta)
     cross = residual + _contract(beta, schouten_bracket(x, con.Lam))
     entries = (
         CheckEntry.of("(L_X beta)# - L_X(beta#)", residual),
@@ -874,13 +832,10 @@ def musical_commutation_iff_report(
 ) -> ConditionReport:
     """Residuals on all basis 1-forms vanish exactly when [X, Lambda] = 0."""
     chart = cov.chart
-    basis_residuals = []
-    for index in range(chart.dim):
-        beta = coordinate_form(chart, index)
-        basis_residuals.append(
-            sharp(con, lie_derivative_form(x, beta))
-            - schouten_bracket(x, sharp(con, beta))
-        )
+    basis_residuals = [
+        _sharp_transport_residual(con, x, coordinate_form(chart, index))
+        for index in range(chart.dim)
+    ]
     all_vanish = all(residual.is_zero() for residual in basis_residuals)
     bracket = schouten_bracket(x, con.Lam)
     entries = (
@@ -942,36 +897,26 @@ def find_generator_pairs(
             )
         basis_pairs.append(GeneratorPair(zero_form(chart, 1), coeff))
 
-    builders = [builder for _, builder in _CONDITION_BUILDERS[target]]
-    residuals_per_pair = [
-        [builder(s, g) for builder in builders] for g in basis_pairs
+    builders = [_CONDITIONS[name][1] for name in _CONDITION_BUILDERS[target]]
+    # residual components per basis pair, a scalar residual as component ()
+    comps_per_pair = [
+        [
+            {(): residual} if isinstance(residual, Scalar) else residual.comps
+            for residual in (builder(s, g) for builder in builders)
+        ]
+        for g in basis_pairs
     ]
+    slots = dict.fromkeys(
+        (c_index, key)
+        for comps in comps_per_pair
+        for c_index, residual_comps in enumerate(comps)
+        for key in residual_comps
+    )
 
-    slots: list[tuple[int, tuple[int, ...]]] = []
-    seen = set()
-    for residuals in residuals_per_pair:
-        for c_index, residual in enumerate(residuals):
-            if isinstance(residual, Scalar):
-                keys: tuple[tuple[int, ...], ...] = ((),)
-            else:
-                keys = tuple(residual.comps.keys())
-            for key in keys:
-                if (c_index, key) not in seen:
-                    seen.add((c_index, key))
-                    slots.append((c_index, key))
-
-    def slot_value(residuals: list, c_index: int, key: tuple[int, ...]) -> Scalar:
-        residual = residuals[c_index]
-        if isinstance(residual, Scalar):
-            return residual
-        return residual.comps.get(key, Scalar.zero(dim))
-
+    zero = Scalar.zero(dim)
     rows: list[list[Fraction]] = []
     for c_index, key in slots:
-        values = [
-            slot_value(residuals, c_index, key)
-            for residuals in residuals_per_pair
-        ]
+        values = [comps[c_index].get(key, zero) for comps in comps_per_pair]
         common = Poly.one(dim)
         for value in values:
             if value.is_zero() or value.den.is_constant():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -14,12 +13,11 @@ from cckit import (
     DiffForm,
     GeneratorPair,
     Multivector,
-    Poly,
-    Scalar,
     dualize,
     example_names,
     get_example,
 )
+from cckit.cli.suite import random_poly
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,18 +55,6 @@ def duals():
         cov = get_example(name).cov
         table[name] = (cov, dualize(cov))
     return table
-
-
-def random_poly(rng: random.Random, nvars: int, degree: int) -> Scalar:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, 3)):
-        exponent = [0] * nvars
-        for _ in range(rng.randint(0, degree)):
-            exponent[rng.randrange(nvars)] += 1
-        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        key = tuple(exponent)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Scalar(Poly(nvars, {k: v for k, v in terms.items() if v}))
 
 
 def random_form(rng: random.Random, chart: Chart, degree: int,

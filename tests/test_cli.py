@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cckit.algebra import refresh_term_limit
+from cckit.algebra.parser import MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
 
@@ -307,6 +308,20 @@ class TestInputErrors:
         path = write_json(tmp_path, "mutated.json", doc)
         assert run(["classify", "-s", path]) == EXIT_INPUT_ERROR
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "opening,closing", [("(", ")"), ("-", "")], ids=["parens", "minus"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, opening, closing):
+        doc = json.loads(
+            (FIXTURES_DIR / "cosym3.json").read_text(encoding="utf-8")
+        )
+        for depth, code in ((MAX_NESTING, EXIT_OK), (3000, EXIT_INPUT_ERROR)):
+            doc["omega"] = [[[2], opening * depth + "1" + closing * depth]]
+            path = write_json(tmp_path, "deep.json", doc)
+            assert run(["classify", "-s", path]) == code
+        err = capsys.readouterr().err
+        assert f"at position {MAX_NESTING}: nesting deeper than" in err
 
     def test_pair_file_violations(self, tmp_path, capsys):
         empty = write_json(tmp_path, "empty.json", [])

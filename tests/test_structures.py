@@ -34,7 +34,6 @@ from cckit import (
     verify_duality,
     wedge,
 )
-from cckit.algebra.linalg import PIVOT_FIRST, PIVOT_MIN_DEGREE
 from cckit.exterior import form_on_vector
 from cckit.structures import StructureError, two_form_through_sharp
 
@@ -132,13 +131,6 @@ class TestDualize:
     def test_not_regular_is_rejected(self):
         with pytest.raises(NotRegular):
             dualize(get_example("singular3").cov)
-
-    def test_pivot_strategies_agree(self):
-        for name in ("contact3", "acc3", "contact5"):
-            cov = get_example(name).cov
-            a = dualize(cov, pivot=PIVOT_MIN_DEGREE)
-            b = dualize(cov, pivot=PIVOT_FIRST)
-            assert a.E == b.E and a.Lam == b.Lam
 
     def test_random_regular_perturbations(self):
         # wiggle acc3 by exact closed 2-forms; the dual must keep certifying

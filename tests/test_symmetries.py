@@ -234,7 +234,48 @@ class TestRepresentativeFreedom:
                     assert left.residual == right.residual
 
 
+ONE_FORM = "1-form residual i_{alpha#} d omega + h i_E d omega + dh"
+REEB = "Reeb component E.h + Lambda(L_E omega, alpha)"
+IMAGE = "Lambda#-image component of the 1-form residual"
+KERNEL = "closedness of the canonical representative d(alpha - alpha(E) omega)"
+REEB_VECTOR = "vector part (L_E alpha - alpha(E) L_E omega)#"
+HEADLINE = "bivector residual [alpha#, Lambda] - E ^ (dh + h L_E omega)#"
+TWO_SHARP = "(d alpha - alpha(E) d omega) through (Lambda#, Lambda#)"
+L_OMEGA, L_BIG_OMEGA, X_E, X_LAMBDA = (
+    "L_X omega", "L_X Omega", "[X, E]", "[X, Lambda]"
+)
+
+# target -> (condition labels, direct labels), as printed by the CLI
+REPORT_LABELS = {
+    SymmetryTarget.omega: ((ONE_FORM, REEB, IMAGE), (L_OMEGA,)),
+    SymmetryTarget.Omega: ((KERNEL,), (L_BIG_OMEGA,)),
+    SymmetryTarget.E: ((REEB_VECTOR, REEB), (X_E,)),
+    SymmetryTarget.Lambda: ((HEADLINE, IMAGE, TWO_SHARP), (X_LAMBDA,)),
+    SymmetryTarget.cov_pair: ((KERNEL, REEB, IMAGE), (L_OMEGA, L_BIG_OMEGA)),
+    SymmetryTarget.contra_pair: (
+        (REEB_VECTOR, REEB, IMAGE, TWO_SHARP), (X_E, X_LAMBDA)
+    ),
+    SymmetryTarget.E_Omega: ((KERNEL, REEB), (X_E, L_BIG_OMEGA)),
+    SymmetryTarget.Lambda_Omega: ((KERNEL, IMAGE), (X_LAMBDA, L_BIG_OMEGA)),
+    SymmetryTarget.E_omega: ((REEB_VECTOR, REEB, IMAGE), (X_E, L_OMEGA)),
+    SymmetryTarget.Lambda_omega: ((REEB, IMAGE, TWO_SHARP), (X_LAMBDA, L_OMEGA)),
+}
+
+
 class TestConditionChecks:
+    def test_report_labels_are_frozen(self, duals):
+        cov, con = duals["acc3"]
+        g = pair3({(0,): "1"}, "-x")
+        x = pair_to_vector(cov, con, g)
+        assert set(REPORT_LABELS) == set(SymmetryTarget)
+        for target, (condition_labels, direct_labels) in REPORT_LABELS.items():
+            conditions = check_generator_conditions(cov, con, g, target)
+            assert conditions.title == f"generator conditions for target {target.value}"
+            assert tuple(e.label for e in conditions.entries) == condition_labels
+            direct = check_symmetry_direct(cov, con, x, target)
+            assert direct.title == f"direct symmetry of {target.value}"
+            assert tuple(e.label for e in direct.entries) == direct_labels
+
     def test_hand_generators_certify_on_acc3(self, duals):
         cov, con = duals["acc3"]
         for g in acc3_hand_generators():
