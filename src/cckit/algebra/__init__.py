@@ -3,7 +3,13 @@
 from .chart import Chart
 from .linalg import LinearSolveError, rational_nullspace, solve_unique
 from .parser import ParseError, format_poly, format_scalar, parse_scalar
-from .poly import Poly, TermLimitExceeded, grlex_key, refresh_term_limit
+from .poly import (
+    Poly,
+    TermLimitExceeded,
+    common_denominator,
+    grlex_key,
+    refresh_term_limit,
+)
 from .scalar import PoleError, Scalar, ScalarDivisionError
 
 __all__ = [
@@ -15,6 +21,7 @@ __all__ = [
     "Scalar",
     "ScalarDivisionError",
     "TermLimitExceeded",
+    "common_denominator",
     "format_poly",
     "format_scalar",
     "grlex_key",

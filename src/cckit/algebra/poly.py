@@ -317,3 +317,38 @@ class Poly:
             f"{coeff}*{exponent}" for exponent, coeff in self.terms_sorted()
         )
         return f"Poly({body})"
+
+
+def common_denominator(nvars: int, dens: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """A common multiple of nonzero denominators and the exact multipliers.
+
+    Returns (common, multipliers) with common == den * multiplier for each
+    den, in order.  The common multiple is built by exact division: a
+    denominator already dividing it is skipped, one it divides replaces
+    it, and any other multiplies it.  Without a multivariate gcd this is
+    not the least common multiple, but it is 1 when every denominator is
+    constant and equals den when all nonconstant denominators equal den.
+    """
+    common = Poly.one(nvars)
+    for den in dens:
+        if den.is_constant() or den == common or common.exact_div(den) is not None:
+            continue
+        if common.is_constant() or den.exact_div(common) is not None:
+            common = den
+        else:
+            common = common * den
+    multipliers = []
+    for den in dens:
+        if den.is_constant():
+            multipliers.append(common.scale(1 / den.constant_value()))
+            continue
+        if den == common:
+            multipliers.append(Poly.one(nvars))
+            continue
+        multiplier = common.exact_div(den)
+        if multiplier is None:
+            raise ArithmeticError(
+                "common denominator is not divisible by one of its factors"
+            )
+        multipliers.append(multiplier)
+    return common, multipliers

@@ -9,22 +9,33 @@ i.e. the first wedge factor fills the first slot.  The same front-slot rule
 is used for contracting forms into multivectors, which makes
 i_alpha Lambda the sharp map with components (alpha#)^k = sum_j alpha_j L^jk.
 
-The Schouten-Nijenhuis bracket of multivectors is produced from its
-defining identity
+The Schouten-Nijenhuis bracket of a p-vector P and a q-vector Q is computed
+by the odd-variable (superfunction) formula of C.-M. Marle, "The
+Schouten-Nijenhuis bracket and interior products", J. Geom. Phys. 23
+(1997):
+
+    [P,Q] = (-1)^((p+1)q) sum_i ( (d_{x_i} Q) wedge (d_{xi_i} P)
+                                  - (-1)^((p-1)(q-1)) (d_{x_i} P) wedge (d_{xi_i} Q) )
+
+where d_{x_i} differentiates every component and the left derivative
+d_{xi_i} is the front-slot contraction of dx^i.  It is evaluated on
+polynomial numerators over one common denominator per argument, so each
+output component is a single quotient rather than a sum of reduced
+rational terms (see `schouten_bracket`).  Its defining identity
 
     i_[P,Q] beta = (-1)^(q(p+1)) i_P d i_Q beta + (-1)^p i_Q d i_P beta
                    - i_(P wedge Q) d beta
 
-by extracting components against basis forms dx^J (for which the d beta
-term drops); the full three-term identity stays available as a residual
-for independent checks with general beta.
+is kept, through contractions and d alone, as the independent residual
+`schouten_identity_residual`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Chart, Scalar
+from .algebra import Chart, Poly, Scalar, common_denominator
 
 Index = tuple[int, ...]
 
@@ -209,10 +220,6 @@ def zero_form(chart: Chart, degree: int) -> DiffForm:
     return DiffForm(chart, degree)
 
 
-def zero_multivector(chart: Chart, degree: int) -> Multivector:
-    return Multivector(chart, degree)
-
-
 def scalar_form(chart: Chart, value: Scalar) -> DiffForm:
     return DiffForm(chart, 0, {(): value})
 
@@ -229,10 +236,6 @@ def coordinate_form(chart: Chart, index: int) -> DiffForm:
 def coordinate_vector(chart: Chart, index: int) -> Multivector:
     """The basis vector field along coordinate `index`."""
     return Multivector(chart, 1, {(index,): Scalar.one(chart.dim)})
-
-
-def basis_form(chart: Chart, index: Index) -> DiffForm:
-    return DiffForm(chart, len(index), {tuple(index): Scalar.one(chart.dim)})
 
 
 def wedge(a: _Tensor, b: _Tensor) -> _Tensor:
@@ -373,38 +376,127 @@ def lie_derivative_scalar(x: Multivector, f: Scalar) -> Scalar:
     return total
 
 
+_Terms = dict[tuple[int, ...], Fraction]
+
+
+def _numerators(t: Multivector, multipliers: list[Poly]) -> dict[Index, Poly]:
+    """Component numerators of t over the common denominator of `multipliers`."""
+    return {
+        index: value.num * multiplier
+        for (index, value), multiplier in zip(t.comps.items(), multipliers)
+    }
+
+
+def _partials(nums: dict[Index, Poly], den: Poly) -> list[dict[Index, Poly]]:
+    """Per coordinate i, the numerators over den^2 of the i-partials of nums/den.
+
+    (num/den)' = (den num' - den' num)/den^2, each partial taken once.  A
+    constant common denominator is 1, and there the numerator is num'.
+    """
+    constant = den.is_constant()
+    out = []
+    for i in range(den.nvars):
+        d_den = den.partial(i)
+        comps: dict[Index, Poly] = {}
+        for index, num in nums.items():
+            d_num = num.partial(i)
+            if not constant:
+                d_num = den * d_num
+                if not d_den.is_zero():
+                    d_num = d_num - d_den * num
+            if not d_num.is_zero():
+                comps[index] = d_num
+        out.append(comps)
+    return out
+
+
+def _odd_partials(
+    nums: dict[Index, Poly], dim: int
+) -> list[list[tuple[int, Index, Poly]]]:
+    """For each i, the left derivative along xi_i as (sign, index, numerator).
+
+    Taking xi_i out of slot k of an increasing index moves it to the front
+    past k odd variables, so the sign is (-1)^k: the front-slot contraction
+    of dx^i.
+    """
+    out: list[list[tuple[int, Index, Poly]]] = [[] for _ in range(dim)]
+    for index, num in nums.items():
+        for k, i in enumerate(index):
+            out[i].append((-1 if k % 2 else 1, index[:k] + index[k + 1:], num))
+    return out
+
+
+def _add_wedges(
+    sums: dict[Index, _Terms],
+    sign: int,
+    partials: list[dict[Index, Poly]],
+    odd: list[list[tuple[int, Index, Poly]]],
+) -> None:
+    """Add sign * sum_i partials[i] wedge odd[i] into the term maps `sums`."""
+    for even, contracted in zip(partials, odd):
+        for left, d_num in even.items():
+            for odd_sign, right, num in contracted:
+                merged = _merge(left, right)
+                if merged is None:
+                    continue
+                merge_sign, key = merged
+                factor = sign * odd_sign * merge_sign
+                terms = sums.setdefault(key, {})
+                for exponent, coeff in (d_num * num).terms.items():
+                    value = terms.get(exponent, 0) + factor * coeff
+                    if value:
+                        terms[exponent] = value
+                    else:
+                        del terms[exponent]
+
+
 def schouten_bracket(p: Multivector, q: Multivector) -> Multivector:
     """Schouten-Nijenhuis bracket, degree deg p + deg q - 1.
 
     On vector fields it is the Lie bracket; on (f, X) it returns X.f.
+
+    Evaluates the odd-variable formula of the module docstring on
+    polynomial numerators.  With P = P~/a and Q = Q~/b over common
+    denominators, (d_i Q) wedge (d_xi_i P) has denominator a b^2 and
+    (d_i P) wedge (d_xi_i Q) has a^2 b, so with m the common multiple of a
+    and b every output component is one Scalar over a b m: a^3 when a = b,
+    a^2 b^2 when neither divides the other, 1 on polynomial input.  The
+    denominator is built first, so one over CCKIT_MAX_TERMS fails before
+    any numerator work.
     """
     if not isinstance(p, Multivector) or not isinstance(q, Multivector):
         raise KindMismatch("the bracket takes two multivector fields")
     if p.chart != q.chart:
         raise ChartMismatch("tensors live on different charts")
     chart = p.chart
+    dim = chart.dim
     dp, dq = p.degree, q.degree
     degree = dp + dq - 1
     if degree < 0:
         return Multivector(chart, 0)
-    sign_p = -1 if (dq * (dp + 1)) % 2 else 1
-    sign_q = -1 if dp % 2 else 1
+    if p.is_zero() or q.is_zero():
+        return Multivector(chart, degree)
+    a, p_multipliers = common_denominator(dim, [v.den for v in p.comps.values()])
+    b, q_multipliers = common_denominator(dim, [v.den for v in q.comps.values()])
+    m, (m_over_a, m_over_b) = common_denominator(dim, [a, b])
+    den = a * b * m
+    p_nums = _numerators(p, p_multipliers)
+    q_nums = _numerators(q, q_multipliers)
+    sign = -1 if ((dp + 1) * dq) % 2 else 1
+    inner = -1 if ((dp - 1) * (dq - 1)) % 2 else 1
+    over_ab2: dict[Index, _Terms] = {}
+    over_a2b: dict[Index, _Terms] = {}
+    _add_wedges(over_ab2, sign, _partials(q_nums, b), _odd_partials(p_nums, dim))
+    _add_wedges(
+        over_a2b, -sign * inner, _partials(p_nums, a), _odd_partials(q_nums, dim)
+    )
     comps: dict[Index, Scalar] = {}
-    for index in combinations(range(chart.dim), degree):
-        basis = basis_form(chart, index)
-        total = Scalar.zero(chart.dim)
-        if dp >= 1:  # else i_Q basis has negative degree: contributes zero
-            inner = _contract(q, basis)
-            outer = _contract(p, exterior_derivative(inner))
-            value = outer.scalar()
-            total = total + (value if sign_p > 0 else -value)
-        if dq >= 1:
-            inner = _contract(p, basis)
-            outer = _contract(q, exterior_derivative(inner))
-            value = outer.scalar()
-            total = total + (value if sign_q > 0 else -value)
-        if not total.is_zero():
-            comps[index] = total
+    for key in sorted(over_ab2.keys() | over_a2b.keys()):
+        num = m_over_b * Poly(dim, over_ab2.get(key)) + m_over_a * Poly(
+            dim, over_a2b.get(key)
+        )
+        if not num.is_zero():
+            comps[key] = Scalar(num, den)
     return Multivector(chart, degree, comps)
 
 

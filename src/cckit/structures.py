@@ -32,10 +32,7 @@ from .exterior import (
     lie_derivative_form,
     pairing,
     schouten_bracket,
-    scalar_form,
     wedge,
-    zero_form,
-    zero_multivector,
 )
 from .report import CheckEntry, ConditionReport
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import Chart, Scalar, rational_nullspace
+from .algebra import Chart, Scalar, common_denominator, rational_nullspace
 from .algebra.poly import Poly
 from .exterior import (
     DiffForm,
@@ -917,22 +917,10 @@ def find_generator_pairs(
     rows: list[list[Fraction]] = []
     for c_index, key in slots:
         values = [comps[c_index].get(key, zero) for comps in comps_per_pair]
-        common = Poly.one(dim)
-        for value in values:
-            if value.is_zero() or value.den.is_constant():
-                continue
-            if common.exact_div(value.den) is not None:
-                continue
-            quotient = value.den.exact_div(common)
-            common = value.den if quotient is not None else common * value.den
-        numerators = []
-        for value in values:
-            if value.is_zero():
-                numerators.append(Poly.zero(dim))
-                continue
-            multiplier = common.exact_div(value.den)
-            assert multiplier is not None
-            numerators.append(value.num * multiplier)
+        _, multipliers = common_denominator(dim, [value.den for value in values])
+        numerators = [
+            value.num * multiplier for value, multiplier in zip(values, multipliers)
+        ]
         exponents = sorted({e for n in numerators for e in n.terms})
         for exponent in exponents:
             rows.append(

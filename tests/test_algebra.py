@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cckit import Chart, ParseError, Poly, Scalar, format_scalar, parse_scalar
-from cckit.algebra import grlex_key, refresh_term_limit
+from cckit.algebra import common_denominator, grlex_key, refresh_term_limit
 from cckit.algebra.poly import TermLimitExceeded
 from cckit.algebra.scalar import PoleError, ScalarDivisionError
 
@@ -92,6 +92,24 @@ class TestPoly:
         y = Poly.variable(3, 1)
         assert (x * x + y).exact_div(x) is None
         assert (x + Poly.one(3)).exact_div(x * x) is None
+
+    @given(st.lists(polys().filter(lambda p: not p.is_zero()), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_common_denominator_multipliers_are_exact(self, dens):
+        common, multipliers = common_denominator(3, dens)
+        assert len(multipliers) == len(dens)
+        for den, multiplier in zip(dens, multipliers):
+            assert den * multiplier == common
+
+    def test_common_denominator_reuses_shared_factors(self):
+        x = parse_scalar("1 + x", CHART3).num
+        y = parse_scalar("1 + y", CHART3).num
+        one = Poly.one(3)
+        assert common_denominator(3, []) == (one, [])
+        assert common_denominator(3, [one, Poly.const(3, 2)])[0] == one
+        assert common_denominator(3, [x, one, x]) == (x, [one, x, one])
+        assert common_denominator(3, [x, x * y, y])[0] == x * y
+        assert common_denominator(3, [x, y])[0] == x * y
 
     def test_grlex_order(self):
         # total degree first, then lexicographic on exponent tuples
