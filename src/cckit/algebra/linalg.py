@@ -91,36 +91,54 @@ def solve_unique(
     return solutions
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of a Q-matrix, via reduced row echelon form."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(matrix)):
-            if matrix[i][c]:
-                pivot_row = i
+def _subtract(
+    row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]
+) -> None:
+    """row -= factor * pivot, in place, dropping the entries that cancel."""
+    for column, value in pivot.items():
+        entry = row.get(column, 0) - factor * value
+        if entry:
+            row[column] = entry
+        else:
+            del row[column]
+
+
+def rational_nullspace(
+    rows: list[dict[int, Fraction]], ncols: int
+) -> list[list[Fraction]]:
+    """Basis of the nullspace of a sparse Q-matrix, via its reduced row echelon form.
+
+    Each row maps a column to its nonzero entry.  A row is reduced against
+    the pivot rows found so far, lowest pivot column first; what is left
+    becomes a new pivot row, so zero and dependent rows drop out.  Back
+    substitution then gives the reduced row echelon form, which is unique:
+    the basis holds one dense vector per free column, in ascending order,
+    with a 1 in that column.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {column: Fraction(value) for column, value in given.items() if value}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                head = row[lead]
+                pivots[lead] = {column: value / head for column, value in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        head = matrix[r][c]
-        matrix[r] = [v / head for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+            _subtract(row, row[lead], pivot)
+    # highest pivot first, so each row subtracts only rows already reduced
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for column in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[column], pivots[column])
     basis: list[list[Fraction]] = []
-    for f in free:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         vector = [Fraction(0)] * ncols
-        vector[f] = Fraction(1)
-        for row_index, c in enumerate(pivots):
-            vector[c] = -matrix[row_index][f]
+        vector[free] = Fraction(1)
+        for lead, row in pivots.items():
+            if free in row:
+                vector[lead] = -row[free]
         basis.append(vector)
     return basis

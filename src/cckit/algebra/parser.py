@@ -8,9 +8,10 @@ Grammar (whitespace-insensitive)::
     power  := atom ("^" INT)?
     atom   := INT | NAME | "(" expr ")"
 
-Exponents are literal non-negative integers.  Parentheses and unary
-minus signs together nest at most MAX_NESTING deep, which keeps the
-recursive descent inside the interpreter's recursion limit.  Every
+Exponents are literal non-negative integers of at most MAX_EXPONENT, so
+no input asks for an unbounded power.  Parentheses and unary minus signs
+together nest at most MAX_NESTING deep, which keeps the recursive descent
+inside the interpreter's recursion limit.  Every
 error carries the 0-based position of the offending token.  The printer
 emits the same grammar, so parse(format(s)) == s for every scalar s.
 """
@@ -33,6 +34,7 @@ class ParseError(ValueError):
 _OPS = set("+-*/^()")
 
 MAX_NESTING = 100
+MAX_EXPONENT = 32
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -148,8 +150,12 @@ class _Parser:
                 raise ParseError(
                     "exponent must be a non-negative integer literal", position
                 )
+            digits = text.lstrip("0") or "0"
+            # compare lengths first: int() refuses very long literals
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", position)
             self.advance()
-            return base ** int(text)
+            return base ** int(digits)
         return base
 
     def atom(self) -> Scalar:

@@ -330,6 +330,26 @@ _CONDITION_BUILDERS = {
 }
 
 
+def _condition_report(
+    s: _Setting,
+    g: GeneratorPair,
+    target: SymmetryTarget,
+    evaluated: dict[str, CheckEntry],
+) -> ConditionReport:
+    """The target's generator conditions on g.
+
+    `evaluated` maps condition names to the entries already computed for
+    the same (s, g) and gains the new ones, so reports that share it
+    evaluate each condition once.
+    """
+    for name in _CONDITION_BUILDERS[target]:
+        if name not in evaluated:
+            label, builder = _CONDITIONS[name]
+            evaluated[name] = CheckEntry.of(label, builder(s, g))
+    entries = tuple(evaluated[name] for name in _CONDITION_BUILDERS[target])
+    return ConditionReport(f"generator conditions for target {target.value}", entries)
+
+
 def check_generator_conditions(
     cov: CovariantPair,
     con: ContravariantPair,
@@ -341,12 +361,7 @@ def check_generator_conditions(
     Degenerate data (alpha(E) != 0, d alpha != 0) shows up as condition
     failures, never as exceptions.
     """
-    s = _setting(cov, con)
-    conditions = [_CONDITIONS[name] for name in _CONDITION_BUILDERS[target]]
-    entries = tuple(
-        CheckEntry.of(label, builder(s, g)) for label, builder in conditions
-    )
-    return ConditionReport(f"generator conditions for target {target.value}", entries)
+    return _condition_report(_setting(cov, con), g, target, {})
 
 
 # field -> (label, residual of X against the field); the residuals look the
@@ -420,11 +435,12 @@ def theorem_equivalence_check(
     four direct Lie derivatives of X_g give the same verdict; any
     disagreement is a hard failure surfaced through `agree`.
     """
+    s = _setting(cov, con)
     x = pair_to_vector(cov, con, g)
-    covariant = check_generator_conditions(cov, con, g, SymmetryTarget.cov_pair)
-    contravariant = check_generator_conditions(
-        cov, con, g, SymmetryTarget.contra_pair
-    )
+    # the Reeb-scalar and image conditions belong to both targets
+    evaluated: dict[str, CheckEntry] = {}
+    covariant = _condition_report(s, g, SymmetryTarget.cov_pair, evaluated)
+    contravariant = _condition_report(s, g, SymmetryTarget.contra_pair, evaluated)
     direct_cov = check_symmetry_direct(cov, con, x, SymmetryTarget.cov_pair)
     direct_con = check_symmetry_direct(cov, con, x, SymmetryTarget.contra_pair)
     direct = ConditionReport(
@@ -442,7 +458,7 @@ def theorem_equivalence_check(
 def _require(
     s: _Setting, g: GeneratorPair, target: SymmetryTarget, role: str
 ) -> ConditionReport:
-    report = check_generator_conditions(s.cov, s.con, g, target)
+    report = _condition_report(s, g, target, {})
     if not report.ok:
         raise PreconditionError(
             f"{role} is not a generator for target {target.value}: "
@@ -867,6 +883,22 @@ def _monomials_up_to(chart: Chart, max_degree: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
+def _coefficient_rows(
+    nvars: int, entries: list[tuple[int, Scalar]]
+) -> list[dict[int, Fraction]]:
+    """Sparse Q-rows of sum_j x_j v_j = 0 for the (column j, v_j) entries.
+
+    Over a common denominator the sum vanishes exactly when every
+    coefficient of its numerator does: one row per numerator monomial.
+    """
+    _, multipliers = common_denominator(nvars, [value.den for _, value in entries])
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (column, value), multiplier in zip(entries, multipliers):
+        for exponent, coeff in (value.num * multiplier).terms.items():
+            rows.setdefault(exponent, {})[column] = coeff
+    return list(rows.values())
+
+
 def find_generator_pairs(
     cov: CovariantPair,
     con: ContravariantPair,
@@ -878,8 +910,9 @@ def find_generator_pairs(
     """All polynomial pairs of coefficient degree <= max_degree for a target.
 
     The target conditions are linear in (alpha, h), so the solution space
-    is the Q-nullspace of one exact matrix; the returned pairs are a basis.
-    Pairs generating the zero vector field are filtered unless
+    is the Q-nullspace of one exact matrix; the returned pairs are the
+    basis read off its reduced row echelon form, which is unique.  Pairs
+    generating the zero vector field are filtered unless
     include_trivial is set.
     """
     s = _setting(cov, con)
@@ -913,27 +946,31 @@ def find_generator_pairs(
         for key in residual_comps
     )
 
-    zero = Scalar.zero(dim)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for c_index, key in slots:
-        values = [comps[c_index].get(key, zero) for comps in comps_per_pair]
-        _, multipliers = common_denominator(dim, [value.den for value in values])
-        numerators = [
-            value.num * multiplier for value, multiplier in zip(values, multipliers)
-        ]
-        exponents = sorted({e for n in numerators for e in n.terms})
-        for exponent in exponents:
-            rows.append(
-                [n.terms.get(exponent, Fraction(0)) for n in numerators]
+        rows.extend(
+            _coefficient_rows(
+                dim,
+                [
+                    (column, comps[c_index][key])
+                    for column, comps in enumerate(comps_per_pair)
+                    if key in comps[c_index]
+                ],
             )
+        )
 
-    solutions = rational_nullspace(rows, len(basis_pairs))
+    # column m * (dim + 1) + i is monomial m in alpha_i, or in h when i == dim
+    width = dim + 1
     found: list[GeneratorPair] = []
-    for solution in solutions:
-        pair = zero_pair(chart)
-        for coefficient, basis_pair in zip(solution, basis_pairs):
+    for solution in rational_nullspace(rows, len(basis_pairs)):
+        slot_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(width)]
+        for column, coefficient in enumerate(solution):
             if coefficient:
-                pair = pair + basis_pair.scale(coefficient)
+                slot_terms[column % width][monomials[column // width]] = coefficient
+        alpha = DiffForm(
+            chart, 1, {(i,): Scalar(Poly(dim, slot_terms[i])) for i in range(dim)}
+        )
+        pair = GeneratorPair(alpha, Scalar(Poly(dim, slot_terms[dim])))
         if include_trivial or not pair_to_vector(cov, con, pair).is_zero():
             found.append(pair)
     return found

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cckit.algebra import refresh_term_limit
-from cckit.algebra.parser import MAX_NESTING
+from cckit.algebra.parser import MAX_EXPONENT, MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
 
@@ -322,6 +322,20 @@ class TestInputErrors:
             assert run(["classify", "-s", path]) == code
         err = capsys.readouterr().err
         assert f"at position {MAX_NESTING}: nesting deeper than" in err
+
+    def test_large_exponent_is_a_parse_error(self, tmp_path, capsys):
+        doc = json.loads(
+            (FIXTURES_DIR / "cosym3.json").read_text(encoding="utf-8")
+        )
+        for text, code in (
+            (f"x^{MAX_EXPONENT} + 1 - x^{MAX_EXPONENT}", EXIT_OK),
+            ("(1+x)^1000000000000", EXIT_INPUT_ERROR),
+        ):
+            doc["omega"] = [[[2], text]]
+            path = write_json(tmp_path, "power.json", doc)
+            assert run(["classify", "-s", path]) == code
+        err = capsys.readouterr().err
+        assert f"at position 6: exponent larger than {MAX_EXPONENT}" in err
 
     def test_pair_file_violations(self, tmp_path, capsys):
         empty = write_json(tmp_path, "empty.json", [])

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cckit import Chart, Scalar, parse_scalar
+from cckit import Chart, Scalar, SymmetryTarget, find_generator_pairs, parse_scalar
+from cckit import symmetries
 from cckit.algebra import LinearSolveError, rational_nullspace, solve_unique
 
 CHART = Chart(("x", "y", "z"))
@@ -92,31 +94,138 @@ class TestSolveUnique:
                 break
 
 
+def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """The former dense Gauss-Jordan nullspace, a test-only oracle.
+
+    Pivots on the first nonzero entry of each column in turn and clears
+    the column above and below, so the matrix ends in reduced row echelon
+    form; one basis vector per free column, in ascending order.
+    """
+    matrix = [list(map(Fraction, row)) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(matrix)):
+            if matrix[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        head = matrix[r][c]
+        matrix[r] = [v / head for v in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c]:
+                factor = matrix[i][c]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis: list[list[Fraction]] = []
+    for f in free:
+        vector = [Fraction(0)] * ncols
+        vector[f] = Fraction(1)
+        for row_index, c in enumerate(pivots):
+            vector[c] = -matrix[row_index][f]
+        basis.append(vector)
+    return basis
+
+
+def dense_oracle(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """dense_nullspace behind the sparse-row signature of rational_nullspace."""
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    return dense_nullspace(dense, ncols)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse Q-matrices with zero, repeated and dependent rows."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4)
+    base = draw(st.lists(row, max_size=8))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not base:
+            rows.append({})
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(base))))
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            p, q = draw(entry), draw(entry)
+            combo = {c: p * a.get(c, 0) + q * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: v for c, v in combo.items() if v})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
 class TestRationalNullspace:
     def test_single_relation(self):
-        basis = rational_nullspace([[Fraction(1), Fraction(1), Fraction(0)]], 3)
+        basis = rational_nullspace([{0: Fraction(1), 1: Fraction(1)}], 3)
         assert len(basis) == 2
         for vec in basis:
             assert vec[0] + vec[1] == 0
 
     def test_full_rank_matrix_has_trivial_nullspace(self):
         rows = [
-            [Fraction(1), Fraction(0)],
-            [Fraction(1), Fraction(1)],
+            {0: Fraction(1)},
+            {0: Fraction(1), 1: Fraction(1)},
         ]
         assert rational_nullspace(rows, 2) == []
 
     def test_no_rows_gives_standard_basis(self):
         basis = rational_nullspace([], 2)
-        assert len(basis) == 2
+        assert basis == [[1, 0], [0, 1]]
 
     def test_members_annihilated(self):
         rows = [
-            [Fraction(1), Fraction(2), Fraction(3), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(1), Fraction(-1)],
+            {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+            {1: Fraction(1), 2: Fraction(1), 3: Fraction(-1)},
         ]
         basis = rational_nullspace(rows, 4)
         assert len(basis) == 2
         for vec in basis:
             for row in rows:
-                assert sum(r * v for r, v in zip(row, vec)) == 0
+                assert sum(v * vec[c] for c, v in row.items()) == 0
+
+    @given(sparse_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_same_basis_as_the_dense_oracle(self, matrix):
+        rows, ncols = matrix
+        basis = rational_nullspace(rows, ncols)
+        assert basis == dense_oracle(rows, ncols)
+        for vec in basis:
+            assert all(isinstance(v, Fraction) for v in vec)
+
+    def test_rows_are_left_unchanged(self):
+        rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 2: Fraction(1)}]
+        copies = [dict(row) for row in rows]
+        rational_nullspace(rows, 3)
+        assert rows == copies
+
+
+# (structure, target, degree): the mixed and the contact pair, each kind
+# of condition met at least once, within a few seconds of the dense oracle
+SEARCH_CASES = [
+    ("acc3", SymmetryTarget.cov_pair, 2),
+    ("acc3", SymmetryTarget.Lambda, 2),
+    ("acc3", SymmetryTarget.E_omega, 2),
+    ("contact5", SymmetryTarget.omega, 2),
+    ("contact5", SymmetryTarget.Lambda_Omega, 2),
+    ("contact5", SymmetryTarget.contra_pair, 1),
+]
+
+
+class TestGeneratorSearchAgainstDenseOracle:
+    @pytest.mark.parametrize("name,target,degree", SEARCH_CASES)
+    def test_same_basis(self, duals, monkeypatch, name, target, degree):
+        # with the trivial pairs kept, the basis is the whole nullspace
+        cov, con = duals[name]
+        sparse = find_generator_pairs(cov, con, target, degree, include_trivial=True)
+        monkeypatch.setattr(symmetries, "rational_nullspace", dense_oracle)
+        dense = find_generator_pairs(cov, con, target, degree, include_trivial=True)
+        assert sparse == dense

@@ -10,6 +10,7 @@ from cckit import (
     Chart,
     DiffForm,
     GeneratorPair,
+    Multivector,
     PreconditionError,
     Scalar,
     StructureClass,
@@ -46,8 +47,10 @@ from cckit import (
     theorem_equivalence_check,
     zero_pair,
 )
+from cckit.algebra import rational_nullspace
 from cckit.exterior import coordinate_vector, scalar_form, zero_form
 from cckit.structures import CovariantPair, StructureError
+from cckit.symmetries import _coefficient_rows
 
 from conftest import random_pair, random_poly
 
@@ -584,6 +587,25 @@ class TestMusicalCommutation:
         assert not schouten_bracket(generic, con.Lam).is_zero()
 
 
+def in_q_span(vectors: list[Multivector], target: Multivector) -> bool:
+    """Whether target is a Q-linear combination of vectors.
+
+    Columns are the vectors and then target, with the rows of each
+    component as in the generator search; target lies in the span exactly
+    when some nullspace vector has a nonzero last entry.
+    """
+    columns = vectors + [target]
+    rows = []
+    for key in {key for v in columns for key in v.comps}:
+        rows.extend(
+            _coefficient_rows(
+                target.chart.dim,
+                [(c, v.comps[key]) for c, v in enumerate(columns) if key in v.comps],
+            )
+        )
+    return any(vec[-1] for vec in rational_nullspace(rows, len(columns)))
+
+
 class TestGeneratorSearch:
     def test_acc3_degree_two_basis(self, duals):
         cov, con = duals["acc3"]
@@ -598,6 +620,7 @@ class TestGeneratorSearch:
             assert check_generator_conditions(
                 cov, con, hand, SymmetryTarget.cov_pair
             ).ok
+            assert in_q_span(vectors, pair_to_vector(cov, con, hand))
 
     def test_trivial_solutions_are_filtered(self, duals):
         cov, con = duals["acc3"]
