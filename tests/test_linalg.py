@@ -95,7 +95,7 @@ class TestSolveUnique:
 
 
 def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """The former dense Gauss-Jordan nullspace, a test-only oracle.
+    """Dense Gauss-Jordan nullspace, the test-only oracle for rational_nullspace.
 
     Pivots on the first nonzero entry of each column in turn and clears
     the column above and below, so the matrix ends in reduced row echelon
