@@ -9,10 +9,11 @@ Grammar (whitespace-insensitive)::
     atom   := INT | NAME | "(" expr ")"
 
 Exponents are literal non-negative integers of at most MAX_EXPONENT, so
-no input asks for an unbounded power.  Parentheses and unary minus signs
-together nest at most MAX_NESTING deep, which keeps the recursive descent
-inside the interpreter's recursion limit.  Every
-error carries the 0-based position of the offending token.  The printer
+no input asks for an unbounded power.  An integer literal holds at most
+MAX_DIGITS digits, well inside what int() converts.  Parentheses and unary
+minus signs together nest at most MAX_NESTING deep, which keeps the
+recursive descent inside the interpreter's recursion limit.  Every error
+carries the 0-based position of the offending token.  The printer
 emits the same grammar, so parse(format(s)) == s for every scalar s.
 """
 
@@ -35,6 +36,7 @@ _OPS = set("+-*/^()")
 
 MAX_NESTING = 100
 MAX_EXPONENT = 32
+MAX_DIGITS = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -161,6 +163,11 @@ class _Parser:
     def atom(self) -> Scalar:
         kind, text, position = self.advance()
         if kind == "int":
+            # compare lengths first: int() refuses very long literals
+            if len(text) > MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_DIGITS} digits", position
+                )
             return Scalar.const(self.chart.dim, int(text))
         if kind == "name":
             try:

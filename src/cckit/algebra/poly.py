@@ -106,16 +106,6 @@ class Poly:
         exponent = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exponent: Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, nvars: int, terms: dict[Exponent, Fraction | int]) -> "Poly":
-        clean: dict[Exponent, Fraction] = {}
-        for exponent, coeff in terms.items():
-            exponent = tuple(exponent)
-            if len(exponent) != nvars or any(e < 0 for e in exponent):
-                raise ValueError(f"bad exponent vector {exponent!r}")
-            clean[exponent] = clean.get(exponent, _ZERO) + Fraction(coeff)
-        return cls(nvars, clean)
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:

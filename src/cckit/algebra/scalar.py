@@ -93,9 +93,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 

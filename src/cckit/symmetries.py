@@ -883,19 +883,110 @@ def _monomials_up_to(chart: Chart, max_degree: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
-def _coefficient_rows(
-    nvars: int, entries: list[tuple[int, Scalar]]
-) -> list[dict[int, Fraction]]:
-    """Sparse Q-rows of sum_j x_j v_j = 0 for the (column j, v_j) entries.
+def _unit_slots(chart: Chart) -> list[GeneratorPair]:
+    """The dim + 1 unit pairs: dx^i for each i < dim, then the function 1."""
+    dim = chart.dim
+    one = Scalar.one(dim)
+    units = [
+        GeneratorPair(DiffForm(chart, 1, {(i,): one}), Scalar.zero(dim))
+        for i in range(dim)
+    ]
+    return units + [GeneratorPair(zero_form(chart, 1), one)]
 
-    Over a common denominator the sum vanishes exactly when every
-    coefficient of its numerator does: one row per numerator monomial.
+
+def _first_order_symbols(
+    s: _Setting, builder
+) -> dict[tuple[int, ...], tuple[Poly, list[list[Poly]]]]:
+    """One condition R on the unit slots, over one denominator per component.
+
+    R is a first-order linear differential operator in (alpha, h), so for
+    a polynomial c and a unit slot sigma
+
+        R(c sigma) = c R(sigma) + sum_k (d_k c) S_k(sigma),
+        S_k(sigma) = R(x_k sigma) - x_k R(sigma)
+
+    holds exactly.  Maps each residual component (a scalar residual as
+    component ()) to (den, numerators), where numerators[slot] is
+    [N_0, N_1, ..., N_dim] with R(sigma) = N_0 / den and
+    S_k(sigma) = N_(k+1) / den.  Costs (dim + 1)^2 calls of the builder.
     """
-    _, multipliers = common_denominator(nvars, [value.den for _, value in entries])
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (column, value), multiplier in zip(entries, multipliers):
-        for exponent, coeff in (value.num * multiplier).terms.items():
-            rows.setdefault(exponent, {})[column] = coeff
+    dim = s.cov.chart.dim
+    variables = [Scalar.variable(dim, k) for k in range(dim)]
+    # per slot: the components of R(sigma), R(x_0 sigma), ..., R(x_(dim-1) sigma)
+    values = []
+    for sigma in _unit_slots(s.cov.chart):
+        per_slot = []
+        for g in [sigma] + [sigma.scale(x) for x in variables]:
+            residual = builder(s, g)
+            per_slot.append(
+                {(): residual} if isinstance(residual, Scalar) else residual.comps
+            )
+        values.append(per_slot)
+    zero = Scalar.zero(dim)
+    symbols = {}
+    keys = dict.fromkeys(k for per_slot in values for comps in per_slot for k in comps)
+    for key in keys:
+        scalars = [comps.get(key, zero) for per_slot in values for comps in per_slot]
+        # zero values take no part in the common denominator
+        den, multipliers = common_denominator(
+            dim, [value.den for value in scalars if not value.is_zero()]
+        )
+        multipliers = iter(multipliers)
+        nums = [
+            value.num if value.is_zero() else value.num * next(multipliers)
+            for value in scalars
+        ]
+        per_slot_nums = []
+        for slot in range(dim + 1):
+            base, *scaled = nums[slot * (dim + 1):(slot + 1) * (dim + 1)]
+            per_slot_nums.append(
+                [base] + [n - base * x.num for n, x in zip(scaled, variables)]
+            )
+        symbols[key] = (den, per_slot_nums)
+    return symbols
+
+
+def _shifted_numerator(
+    numerators: list[Poly], exponent: tuple[int, ...]
+) -> dict[tuple[int, ...], Fraction]:
+    """The numerator of R(x^e sigma): x^e N_0 + sum_k e_k x^(e - 1_k) N_k.
+
+    Pure exponent shifts of the symbol numerators; coefficients that
+    cancel are dropped.
+    """
+    parts = [(exponent, 1, numerators[0])]
+    for k, e_k in enumerate(exponent):
+        if e_k:
+            lowered = exponent[:k] + (e_k - 1,) + exponent[k + 1:]
+            parts.append((lowered, e_k, numerators[k + 1]))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for shift, factor, poly in parts:
+        for term, coeff in poly.terms.items():
+            key = tuple(a + b for a, b in zip(term, shift))
+            out[key] = out.get(key, 0) + factor * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _symbol_rows(
+    s: _Setting, target: SymmetryTarget, monomials: list[tuple[int, ...]]
+) -> list[dict[int, Fraction]]:
+    """Sparse Q-rows of the target conditions on the monomial basis pairs.
+
+    Column m * (dim + 1) + i is monomial m in alpha_i, or in h when
+    i == dim.  Over its symbol denominator a residual component vanishes
+    exactly when every coefficient of its numerator does: one row per
+    (condition, component, numerator monomial).
+    """
+    width = s.cov.chart.dim + 1
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for name in _CONDITION_BUILDERS[target]:
+        symbols = _first_order_symbols(s, _CONDITIONS[name][1])
+        for key, (_, per_slot) in symbols.items():
+            for m, exponent in enumerate(monomials):
+                for slot, numerators in enumerate(per_slot):
+                    column = m * width + slot
+                    for term, coeff in _shifted_numerator(numerators, exponent).items():
+                        rows.setdefault((name, key, term), {})[column] = coeff
     return list(rows.values())
 
 
@@ -909,60 +1000,26 @@ def find_generator_pairs(
 ) -> list[GeneratorPair]:
     """All polynomial pairs of coefficient degree <= max_degree for a target.
 
-    The target conditions are linear in (alpha, h), so the solution space
-    is the Q-nullspace of one exact matrix; the returned pairs are the
-    basis read off its reduced row echelon form, which is unique.  Pairs
-    generating the zero vector field are filtered unless
-    include_trivial is set.
+    Every target condition R is a first-order linear differential operator
+    in (alpha, h), so its value on a monomial pair x^e sigma follows from
+    its first-order symbols R(sigma) and S_k(sigma) on the dim + 1 unit
+    slots: (dim + 1)^2 builder calls per condition, whatever the degree,
+    and exact exponent shifts of fixed numerators per column.  The
+    solution space is the Q-nullspace of the resulting exact matrix; the
+    returned pairs are the basis read off its reduced row echelon form,
+    which is unique.  Pairs generating the zero vector field are filtered
+    unless include_trivial is set.
     """
     s = _setting(cov, con)
     chart = cov.chart
     dim = chart.dim
     monomials = _monomials_up_to(chart, max_degree)
-    basis_pairs: list[GeneratorPair] = []
-    for exponent in monomials:
-        coeff = Scalar(Poly(dim, {exponent: Fraction(1)}))
-        for i in range(dim):
-            basis_pairs.append(
-                GeneratorPair(
-                    DiffForm(chart, 1, {(i,): coeff}), Scalar.zero(dim)
-                )
-            )
-        basis_pairs.append(GeneratorPair(zero_form(chart, 1), coeff))
-
-    builders = [_CONDITIONS[name][1] for name in _CONDITION_BUILDERS[target]]
-    # residual components per basis pair, a scalar residual as component ()
-    comps_per_pair = [
-        [
-            {(): residual} if isinstance(residual, Scalar) else residual.comps
-            for residual in (builder(s, g) for builder in builders)
-        ]
-        for g in basis_pairs
-    ]
-    slots = dict.fromkeys(
-        (c_index, key)
-        for comps in comps_per_pair
-        for c_index, residual_comps in enumerate(comps)
-        for key in residual_comps
-    )
-
-    rows: list[dict[int, Fraction]] = []
-    for c_index, key in slots:
-        rows.extend(
-            _coefficient_rows(
-                dim,
-                [
-                    (column, comps[c_index][key])
-                    for column, comps in enumerate(comps_per_pair)
-                    if key in comps[c_index]
-                ],
-            )
-        )
+    rows = _symbol_rows(s, target, monomials)
 
     # column m * (dim + 1) + i is monomial m in alpha_i, or in h when i == dim
     width = dim + 1
     found: list[GeneratorPair] = []
-    for solution in rational_nullspace(rows, len(basis_pairs)):
+    for solution in rational_nullspace(rows, width * len(monomials)):
         slot_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(width)]
         for column, coefficient in enumerate(solution):
             if coefficient:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cckit.algebra import refresh_term_limit
-from cckit.algebra.parser import MAX_EXPONENT, MAX_NESTING
+from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
 
@@ -336,6 +336,20 @@ class TestInputErrors:
             assert run(["classify", "-s", path]) == code
         err = capsys.readouterr().err
         assert f"at position 6: exponent larger than {MAX_EXPONENT}" in err
+
+    def test_long_integer_literal_is_a_parse_error(self, tmp_path, capsys):
+        doc = json.loads(
+            (FIXTURES_DIR / "cosym3.json").read_text(encoding="utf-8")
+        )
+        for digits, code in (
+            (MAX_DIGITS, EXIT_OK),
+            (MAX_DIGITS + 1, EXIT_INPUT_ERROR),
+        ):
+            doc["omega"] = [[[2], "x - x + " + "7" * digits]]
+            path = write_json(tmp_path, "literal.json", doc)
+            assert run(["classify", "-s", path]) == code
+        err = capsys.readouterr().err
+        assert f"at position 8: integer literal longer than {MAX_DIGITS} digits" in err
 
     def test_pair_file_violations(self, tmp_path, capsys):
         empty = write_json(tmp_path, "empty.json", [])

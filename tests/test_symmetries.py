@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cckit import (
     BracketMode,
@@ -47,10 +48,18 @@ from cckit import (
     theorem_equivalence_check,
     zero_pair,
 )
-from cckit.algebra import rational_nullspace
+from cckit import symmetries
+from cckit.algebra import Poly, common_denominator, rational_nullspace
 from cckit.exterior import coordinate_vector, scalar_form, zero_form
 from cckit.structures import CovariantPair, StructureError
-from cckit.symmetries import _coefficient_rows
+from cckit.symmetries import (
+    _CONDITION_BUILDERS,
+    _CONDITIONS,
+    _first_order_symbols,
+    _monomials_up_to,
+    _setting,
+    _shifted_numerator,
+)
 
 from conftest import random_pair, random_poly
 
@@ -587,6 +596,22 @@ class TestMusicalCommutation:
         assert not schouten_bracket(generic, con.Lam).is_zero()
 
 
+def coefficient_rows(
+    nvars: int, entries: list[tuple[int, Scalar]]
+) -> list[dict[int, Fraction]]:
+    """Sparse Q-rows of sum_j x_j v_j = 0 for the (column j, v_j) entries.
+
+    Over a common denominator the sum vanishes exactly when every
+    coefficient of its numerator does: one row per numerator monomial.
+    """
+    _, multipliers = common_denominator(nvars, [value.den for _, value in entries])
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (column, value), multiplier in zip(entries, multipliers):
+        for exponent, coeff in (value.num * multiplier).terms.items():
+            rows.setdefault(exponent, {})[column] = coeff
+    return list(rows.values())
+
+
 def in_q_span(vectors: list[Multivector], target: Multivector) -> bool:
     """Whether target is a Q-linear combination of vectors.
 
@@ -598,12 +623,70 @@ def in_q_span(vectors: list[Multivector], target: Multivector) -> bool:
     rows = []
     for key in {key for v in columns for key in v.comps}:
         rows.extend(
-            _coefficient_rows(
+            coefficient_rows(
                 target.chart.dim,
                 [(c, v.comps[key]) for c, v in enumerate(columns) if key in v.comps],
             )
         )
     return any(vec[-1] for vec in rational_nullspace(rows, len(columns)))
+
+
+def per_monomial_rows(s, target, monomials) -> list[dict[int, Fraction]]:
+    """Test oracle: the search rows from every condition builder on every basis pair.
+
+    This is how the generator search built its rows before it used the
+    first-order symbols: one full evaluation per (monomial, slot) column.
+    """
+    chart = s.cov.chart
+    dim = chart.dim
+    basis_pairs: list[GeneratorPair] = []
+    for exponent in monomials:
+        coeff = Scalar(Poly(dim, {exponent: Fraction(1)}))
+        for i in range(dim):
+            basis_pairs.append(
+                GeneratorPair(DiffForm(chart, 1, {(i,): coeff}), Scalar.zero(dim))
+            )
+        basis_pairs.append(GeneratorPair(zero_form(chart, 1), coeff))
+
+    builders = [_CONDITIONS[name][1] for name in _CONDITION_BUILDERS[target]]
+    comps_per_pair = [
+        [
+            {(): residual} if isinstance(residual, Scalar) else residual.comps
+            for residual in (builder(s, g) for builder in builders)
+        ]
+        for g in basis_pairs
+    ]
+    slots = dict.fromkeys(
+        (c_index, key)
+        for comps in comps_per_pair
+        for c_index, residual_comps in enumerate(comps)
+        for key in residual_comps
+    )
+    rows: list[dict[int, Fraction]] = []
+    for c_index, key in slots:
+        rows.extend(
+            coefficient_rows(
+                dim,
+                [
+                    (column, comps[c_index][key])
+                    for column, comps in enumerate(comps_per_pair)
+                    if key in comps[c_index]
+                ],
+            )
+        )
+    return rows
+
+
+def term_dicts(pairs: list[GeneratorPair]) -> list:
+    """Every numerator and denominator term dict of a basis, in order."""
+    return [
+        (
+            [(k, v.num.terms, v.den.terms) for k, v in sorted(g.alpha.comps.items())],
+            g.h.num.terms,
+            g.h.den.terms,
+        )
+        for g in pairs
+    ]
 
 
 class TestGeneratorSearch:
@@ -647,3 +730,101 @@ class TestGeneratorSearch:
                 True,
                 True,
             )
+
+
+# (structure, degrees): every target at d <= 2 in dimension 3, d = 1 on contact5
+ORACLE_CASES = [("cosym3", 2), ("contact3", 2), ("acc3", 2), ("contact5", 1)]
+
+
+class TestGeneratorSearchAgainstPerMonomialOracle:
+    @pytest.mark.parametrize("name,max_degree", ORACLE_CASES)
+    def test_same_basis(self, duals, monkeypatch, name, max_degree):
+        # with the trivial pairs kept, the basis is the whole nullspace
+        cov, con = duals[name]
+        jobs = [
+            (target, degree)
+            for target in SymmetryTarget
+            for degree in range(1, max_degree + 1)
+        ]
+        found = [
+            find_generator_pairs(cov, con, target, degree, include_trivial=True)
+            for target, degree in jobs
+        ]
+        monkeypatch.setattr(symmetries, "_symbol_rows", per_monomial_rows)
+        for (target, degree), basis in zip(jobs, found):
+            oracle = find_generator_pairs(
+                cov, con, target, degree, include_trivial=True
+            )
+            assert term_dicts(basis) == term_dicts(oracle), (target, degree)
+
+
+SYMBOL_STRUCTURES = ("acc3", "contact5")
+
+
+@pytest.fixture(scope="module")
+def condition_symbols(duals):
+    """structure -> condition -> its first-order symbols."""
+    table = {}
+    for name in SYMBOL_STRUCTURES:
+        s = _setting(*duals[name])
+        table[name] = {
+            condition: _first_order_symbols(s, builder)
+            for condition, (_, builder) in _CONDITIONS.items()
+        }
+    return table
+
+
+def coefficient_polys(dim: int):
+    """Integer polynomials of degree <= 3 with at most three terms."""
+    exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: sum(e) <= 3)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(exponents, coeffs, max_size=3)
+
+
+class TestFirstOrderSymbols:
+    @pytest.mark.parametrize("name", SYMBOL_STRUCTURES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_builders_equal_the_symbol_expansion(
+        self, duals, condition_symbols, name, data
+    ):
+        # R(g) = sum_sigma (c_sigma R(sigma) + sum_k (d_k c_sigma) S_k(sigma))
+        cov, con = duals[name]
+        s = _setting(cov, con)
+        chart = cov.chart
+        dim = chart.dim
+        slot_terms = [data.draw(coefficient_polys(dim)) for _ in range(dim + 1)]
+        coeffs = [
+            Scalar(Poly(dim, {e: Fraction(c) for e, c in terms.items()}))
+            for terms in slot_terms
+        ]
+        g = GeneratorPair(
+            DiffForm(chart, 1, {(i,): coeffs[i] for i in range(dim)}), coeffs[dim]
+        )
+        for condition, (_, builder) in _CONDITIONS.items():
+            residual = builder(s, g)
+            comps = {(): residual} if isinstance(residual, Scalar) else residual.comps
+            symbols = condition_symbols[name][condition]
+            for key in set(comps) | set(symbols):
+                if key not in symbols:
+                    expansion = Scalar.zero(dim)
+                else:
+                    den, per_slot = symbols[key]
+                    num = Poly.zero(dim)
+                    for numerators, terms in zip(per_slot, slot_terms):
+                        for exponent, c in terms.items():
+                            shifted = _shifted_numerator(numerators, exponent)
+                            num = num + Poly(dim, shifted).scale(c)
+                    expansion = Scalar(num, den)
+                assert expansion == comps.get(key, Scalar.zero(dim)), (condition, key)
+
+    def test_symbols_cost_dim_plus_one_squared_calls(self, duals):
+        cov, con = duals["contact5"]
+        calls = []
+
+        def builder(s, g):
+            calls.append(g)
+            return _CONDITIONS["reeb_scalar"][1](s, g)
+
+        _first_order_symbols(_setting(cov, con), builder)
+        assert len(calls) == 6 * 6
