@@ -883,15 +883,14 @@ def _monomials_up_to(chart: Chart, max_degree: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
-def _unit_slots(chart: Chart) -> list[GeneratorPair]:
-    """The dim + 1 unit pairs: dx^i for each i < dim, then the function 1."""
+def _unit_slots(chart: Chart, coeff: Scalar) -> list[GeneratorPair]:
+    """The dim + 1 pairs coeff dx^i for each i < dim, then the function coeff."""
     dim = chart.dim
-    one = Scalar.one(dim)
     units = [
-        GeneratorPair(DiffForm(chart, 1, {(i,): one}), Scalar.zero(dim))
+        GeneratorPair(DiffForm(chart, 1, {(i,): coeff}), Scalar.zero(dim))
         for i in range(dim)
     ]
-    return units + [GeneratorPair(zero_form(chart, 1), one)]
+    return units + [GeneratorPair(zero_form(chart, 1), coeff)]
 
 
 def _first_order_symbols(
@@ -910,23 +909,22 @@ def _first_order_symbols(
     [N_0, N_1, ..., N_dim] with R(sigma) = N_0 / den and
     S_k(sigma) = N_(k+1) / den.  Costs (dim + 1)^2 calls of the builder.
     """
-    dim = s.cov.chart.dim
+    chart = s.cov.chart
+    dim = chart.dim
     variables = [Scalar.variable(dim, k) for k in range(dim)]
-    # per slot: the components of R(sigma), R(x_0 sigma), ..., R(x_(dim-1) sigma)
-    values = []
-    for sigma in _unit_slots(s.cov.chart):
-        per_slot = []
-        for g in [sigma] + [sigma.scale(x) for x in variables]:
+    # the components of R(c sigma) for c = 1, x_0, ..., x_(dim-1) in turn,
+    # each over all dim + 1 slots; a scalar residual is component ()
+    evaluated = []
+    for coeff in [Scalar.one(dim)] + variables:
+        for g in _unit_slots(chart, coeff):
             residual = builder(s, g)
-            per_slot.append(
+            evaluated.append(
                 {(): residual} if isinstance(residual, Scalar) else residual.comps
             )
-        values.append(per_slot)
     zero = Scalar.zero(dim)
     symbols = {}
-    keys = dict.fromkeys(k for per_slot in values for comps in per_slot for k in comps)
-    for key in keys:
-        scalars = [comps.get(key, zero) for per_slot in values for comps in per_slot]
+    for key in dict.fromkeys(k for comps in evaluated for k in comps):
+        scalars = [comps.get(key, zero) for comps in evaluated]
         # zero values take no part in the common denominator
         den, multipliers = common_denominator(
             dim, [value.den for value in scalars if not value.is_zero()]
@@ -938,7 +936,7 @@ def _first_order_symbols(
         ]
         per_slot_nums = []
         for slot in range(dim + 1):
-            base, *scaled = nums[slot * (dim + 1):(slot + 1) * (dim + 1)]
+            base, *scaled = nums[slot::dim + 1]
             per_slot_nums.append(
                 [base] + [n - base * x.num for n, x in zip(scaled, variables)]
             )

@@ -56,7 +56,6 @@ from cckit.symmetries import (
     _CONDITION_BUILDERS,
     _CONDITIONS,
     _first_order_symbols,
-    _monomials_up_to,
     _setting,
     _shifted_numerator,
 )
@@ -632,10 +631,10 @@ def in_q_span(vectors: list[Multivector], target: Multivector) -> bool:
 
 
 def per_monomial_rows(s, target, monomials) -> list[dict[int, Fraction]]:
-    """Test oracle: the search rows from every condition builder on every basis pair.
+    """Test oracle for the search rows, independent of the first-order symbols.
 
-    This is how the generator search built its rows before it used the
-    first-order symbols: one full evaluation per (monomial, slot) column.
+    Every condition builder is evaluated in full on every monomial basis
+    pair, one column per (monomial, slot), as `_symbol_rows` numbers them.
     """
     chart = s.cov.chart
     dim = chart.dim
