@@ -192,10 +192,27 @@ def parse_scalar(text: str, chart: Chart) -> Scalar:
     return _Parser(text, chart).parse()
 
 
+# str() converts an int of this many digits under any int_max_str_digits limit
+_CHUNK_DIGITS = 500
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size, converted in chunks of _CHUNK_DIGITS."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _monomial(exponent: tuple[int, ...], names: tuple[str, ...]) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .algebra import Chart, LinearSolveError, Scalar, solve_unique
 from .exterior import (
@@ -72,6 +73,37 @@ class CovariantPair:
     def chart(self) -> Chart:
         return self.omega.chart
 
+    # Derived data, computed on first use and kept for the life of the pair.
+
+    @cached_property
+    def density(self) -> Scalar:
+        """Top component of omega wedge Omega^n."""
+        power = self.omega
+        for _ in range(self.chart.half):
+            power = wedge(power, self.Omega)
+        return power.component(tuple(range(self.chart.dim)))
+
+    @cached_property
+    def d_omega(self) -> DiffForm:
+        return exterior_derivative(self.omega)
+
+    @cached_property
+    def d_Omega(self) -> DiffForm:
+        return exterior_derivative(self.Omega)
+
+    @cached_property
+    def structure_class(self) -> "StructureClass":
+        """Precedence: regularity, then d omega = 0, then Omega = d omega, then d Omega = 0."""
+        if self.density.is_zero():
+            return StructureClass.NOT_REGULAR
+        if self.d_omega.is_zero() and self.d_Omega.is_zero():
+            return StructureClass.COSYMPLECTIC
+        if self.Omega == self.d_omega:
+            return StructureClass.CONTACT
+        if self.d_Omega.is_zero():
+            return StructureClass.ALMOST_COSYMPLECTIC_CONTACT
+        return StructureClass.PRE_COSYMPLECTIC_ONLY
+
 
 @dataclass(frozen=True)
 class ContravariantPair:
@@ -91,26 +123,12 @@ class ContravariantPair:
 
 def regularity_density(pair: CovariantPair) -> Scalar:
     """Top component of omega wedge Omega^n."""
-    chart = pair.chart
-    power = pair.omega
-    for _ in range(chart.half):
-        power = wedge(power, pair.Omega)
-    return power.component(tuple(range(chart.dim)))
+    return pair.density
 
 
 def classify(pair: CovariantPair) -> StructureClass:
     """Precedence: regularity, then d omega = 0, then Omega = d omega, then d Omega = 0."""
-    if regularity_density(pair).is_zero():
-        return StructureClass.NOT_REGULAR
-    d_omega = exterior_derivative(pair.omega)
-    d_Omega = exterior_derivative(pair.Omega)
-    if d_omega.is_zero() and d_Omega.is_zero():
-        return StructureClass.COSYMPLECTIC
-    if pair.Omega == d_omega:
-        return StructureClass.CONTACT
-    if d_Omega.is_zero():
-        return StructureClass.ALMOST_COSYMPLECTIC_CONTACT
-    return StructureClass.PRE_COSYMPLECTIC_ONLY
+    return pair.structure_class
 
 
 def is_almost_cosymplectic_contact(pair: CovariantPair) -> bool:
@@ -252,17 +270,29 @@ def decompose_form(
 
 def second_pair(pair: CovariantPair) -> CovariantPair:
     """The companion pair (omega, Omega + d omega)."""
-    return CovariantPair(pair.omega, pair.Omega + exterior_derivative(pair.omega))
+    return CovariantPair(pair.omega, pair.Omega + pair.d_omega)
+
+
+def sharp_columns(con: ContravariantPair) -> list[Multivector]:
+    """Lambda# dx^j for every coordinate j."""
+    chart = con.chart
+    return [sharp(con, coordinate_form(chart, j)) for j in range(chart.dim)]
 
 
 def two_form_through_sharp(
-    con: ContravariantPair, two_form: DiffForm
+    con: ContravariantPair,
+    two_form: DiffForm,
+    sharps: list[Multivector] | None = None,
 ) -> Multivector:
-    """The bivector (j, k) -> two_form(Lambda# dx^j, Lambda# dx^k)."""
+    """The bivector (j, k) -> two_form(Lambda# dx^j, Lambda# dx^k).
+
+    `sharps` are the columns of `sharp_columns(con)` when the caller keeps them.
+    """
     if two_form.degree != 2:
         raise StructureError("expected a 2-form")
     chart = con.chart
-    sharps = [sharp(con, coordinate_form(chart, j)) for j in range(chart.dim)]
+    if sharps is None:
+        sharps = sharp_columns(con)
     comps: dict[tuple[int, ...], Scalar] = {}
     for j in range(chart.dim):
         for k in range(j + 1, chart.dim):
@@ -322,12 +352,12 @@ def verify_contravariant_identities(
     plus the cosymplectic/contact specializations when they apply.
     """
     chart = cov.chart
-    closedness = exterior_derivative(cov.Omega)
+    closedness = cov.d_Omega
     tau = lie_derivative_form(con.E, cov.omega)
     e_lam_bracket = schouten_bracket(con.E, con.Lam)
     lam_lam_bracket = schouten_bracket(con.Lam, con.Lam)
     e_lam = e_lam_bracket + wedge(con.E, sharp(con, tau))
-    pulled = two_form_through_sharp(con, exterior_derivative(cov.omega))
+    pulled = two_form_through_sharp(con, cov.d_omega)
     lam_lam = lam_lam_bracket - wedge(con.E, pulled).scale(2)
     entries = [
         CheckEntry.of("closedness d Omega = 0", closedness),

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Chart, Scalar, common_denominator, rational_nullspace
 from .algebra.poly import Poly
@@ -54,6 +55,7 @@ from .structures import (
     lambda_pair,
     project,
     sharp,
+    sharp_columns,
     two_form_through_sharp,
 )
 
@@ -126,22 +128,44 @@ def zero_pair(chart: Chart) -> GeneratorPair:
     return GeneratorPair(zero_form(chart, 1), Scalar.zero(chart.dim))
 
 
-@dataclass(frozen=True)
 class _Setting:
-    """Cached data shared by the symmetry computations."""
+    """The (cov, con) context: derived data shared by the symmetry computations.
 
-    cov: CovariantPair
-    con: ContravariantPair
-    tau: DiffForm          # L_E omega = i_E d omega
-    d_omega: DiffForm
+    tau and the Lambda# dx^j columns are built once; the first-order
+    symbols of a linear builder are built on first use and kept, so a
+    search over many targets and degrees builds each set once.
+    """
+
+    def __init__(self, cov: CovariantPair, con: ContravariantPair):
+        self.cov = cov
+        self.con = con
+        self.d_omega = cov.d_omega
+        self.tau = lie_derivative_form(con.E, cov.omega)  # L_E omega = i_E d omega
+        self._symbols: dict = {}
+
+    @cached_property
+    def sharps(self) -> list[Multivector]:
+        return sharp_columns(self.con)
+
+    def symbols(self, builder) -> dict[tuple[int, ...], tuple[Poly, list[list[Poly]]]]:
+        """`_first_order_symbols(self, builder)`, built on the first call."""
+        if builder not in self._symbols:
+            self._symbols[builder] = _first_order_symbols(self, builder)
+        return self._symbols[builder]
 
 
 def _setting(cov: CovariantPair, con: ContravariantPair) -> _Setting:
+    """The context of (cov, con), kept on con and rebuilt for another cov.
+
+    It lives as long as the con object does; a copy or an equal dual
+    built anew starts without one.
+    """
     if cov.chart != con.chart:
         raise StructureError("covariant and contravariant pairs on different charts")
-    d_omega = exterior_derivative(cov.omega)
-    tau = lie_derivative_form(con.E, cov.omega)
-    return _Setting(cov, con, tau, d_omega)
+    s = vars(con).get("_symmetry_setting")
+    if s is None or s.cov is not cov:
+        s = vars(con)["_symmetry_setting"] = _Setting(cov, con)
+    return s
 
 
 def _grad(f: Scalar, chart: Chart) -> DiffForm:
@@ -276,7 +300,7 @@ def _two_sharp_residual(s: _Setting, g: GeneratorPair) -> Multivector:
     """(d alpha - alpha(E) d omega) pulled through (Lambda#, Lambda#)."""
     a_e = form_on_vector(g.alpha, s.con.E)
     two_form = exterior_derivative(g.alpha) - s.d_omega.scale(a_e)
-    return two_form_through_sharp(s.con, two_form)
+    return two_form_through_sharp(s.con, two_form, s.sharps)
 
 
 def _lambda_headline_residual(s: _Setting, g: GeneratorPair) -> Multivector:
@@ -961,7 +985,8 @@ def _shifted_numerator(
     for shift, factor, poly in parts:
         for term, coeff in poly.terms.items():
             key = tuple(a + b for a, b in zip(term, shift))
-            out[key] = out.get(key, 0) + factor * coeff
+            value = coeff if factor == 1 else factor * coeff
+            out[key] = out[key] + value if key in out else value
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
@@ -978,7 +1003,7 @@ def _symbol_rows(
     width = s.cov.chart.dim + 1
     rows: dict[tuple, dict[int, Fraction]] = {}
     for name in _CONDITION_BUILDERS[target]:
-        symbols = _first_order_symbols(s, _CONDITIONS[name][1])
+        symbols = s.symbols(_CONDITIONS[name][1])
         for key, (_, per_slot) in symbols.items():
             for m, exponent in enumerate(monomials):
                 for slot, numerators in enumerate(per_slot):
@@ -986,6 +1011,31 @@ def _symbol_rows(
                     for term, coeff in _shifted_numerator(numerators, exponent).items():
                         rows.setdefault((name, key, term), {})[column] = coeff
     return list(rows.values())
+
+
+def _vector_field(s: _Setting, g: GeneratorPair) -> Multivector:
+    return pair_to_vector(s.cov, s.con, g)
+
+
+def _is_trivial(
+    s: _Setting, solution: list[Fraction], monomials: list[tuple[int, ...]]
+) -> bool:
+    """Whether the pair with these column coefficients has X_g = 0.
+
+    X_g is linear in (alpha, h) with no derivative, so each component's
+    numerator is the sum of the coefficients times the shifted symbol
+    numerators of the columns.
+    """
+    width = s.cov.chart.dim + 1
+    columns = [(divmod(c, width), v) for c, v in enumerate(solution) if v]
+    for _, per_slot in s.symbols(_vector_field).values():
+        total: dict[tuple[int, ...], Fraction] = {}
+        for (m, slot), coefficient in columns:
+            for term, coeff in _shifted_numerator(per_slot[slot], monomials[m]).items():
+                total[term] = total.get(term, 0) + coefficient * coeff
+        if any(total.values()):
+            return False
+    return True
 
 
 def find_generator_pairs(
@@ -1006,7 +1056,10 @@ def find_generator_pairs(
     solution space is the Q-nullspace of the resulting exact matrix; the
     returned pairs are the basis read off its reduced row echelon form,
     which is unique.  Pairs generating the zero vector field are filtered
-    unless include_trivial is set.
+    unless include_trivial is set, through the symbols of X_g.
+
+    The symbols are kept on the (cov, con) context, so repeated searches
+    with the same con object build each symbol set once.
     """
     s = _setting(cov, con)
     chart = cov.chart
@@ -1018,6 +1071,8 @@ def find_generator_pairs(
     width = dim + 1
     found: list[GeneratorPair] = []
     for solution in rational_nullspace(rows, width * len(monomials)):
+        if not include_trivial and _is_trivial(s, solution, monomials):
+            continue
         slot_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(width)]
         for column, coefficient in enumerate(solution):
             if coefficient:
@@ -1025,7 +1080,5 @@ def find_generator_pairs(
         alpha = DiffForm(
             chart, 1, {(i,): Scalar(Poly(dim, slot_terms[i])) for i in range(dim)}
         )
-        pair = GeneratorPair(alpha, Scalar(Poly(dim, slot_terms[dim])))
-        if include_trivial or not pair_to_vector(cov, con, pair).is_zero():
-            found.append(pair)
+        found.append(GeneratorPair(alpha, Scalar(Poly(dim, slot_terms[dim]))))
     return found

@@ -10,6 +10,7 @@ from cckit.algebra import refresh_term_limit
 from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
+from cckit.structures import CovariantPair
 
 from conftest import FIXTURES_DIR
 
@@ -30,6 +31,16 @@ def corrupted_acc3(tmp_path) -> str:
     assert doc["Omega"][0] == [[0, 1], "1"]
     doc["Omega"][0] = [[0, 1], "z"]
     return write_json(tmp_path, "broken.json", doc)
+
+
+def decimal_value(digits: str) -> int:
+    """The int a decimal string denotes, read in chunks int() always accepts."""
+    assert digits.isdigit(), digits[:40]
+    value = 0
+    for start in range(0, len(digits), 100):
+        chunk = digits[start:start + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 HJ_PAIRS = [
@@ -105,6 +116,21 @@ class TestVerify:
         assert closedness["residual"] == "(1) dx^dy^dz"
         passing = [entry for entry in entries if entry["ok"]]
         assert all(entry["residual"] is None for entry in passing)
+
+    def test_derived_data_is_computed_once(self, monkeypatch, capsys):
+        # dualize, the certificate and the identities share rho, d omega, d Omega
+        calls = {"density": 0, "d_omega": 0, "d_Omega": 0}
+        for name in calls:
+            prop = getattr(CovariantPair, name)
+
+            def counting(pair, compute=prop.func, name=name):
+                calls[name] += 1
+                return compute(pair)
+
+            monkeypatch.setattr(prop, "func", counting)
+        assert run(["verify", "-s", fixture("contact5"), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert calls == {"density": 1, "d_omega": 1, "d_Omega": 1}
 
 
 class TestBracket:
@@ -350,6 +376,32 @@ class TestInputErrors:
             assert run(["classify", "-s", path]) == code
         err = capsys.readouterr().err
         assert f"at position 8: integer literal longer than {MAX_DIGITS} digits" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_integers_of_any_size_print(self, tmp_path, capsys, as_json):
+        # a 200-digit literal to the 32nd power: 6,400 digits in the density,
+        # beyond the 4,300 digits str() converts by default
+        literal = "7" + "3" * 199
+        value = int(literal) ** 32
+        doc = json.loads((FIXTURES_DIR / "cosym3.json").read_text(encoding="utf-8"))
+        doc["omega"] = [[[2], f"({literal})^32"]]
+        path = write_json(tmp_path, "huge.json", doc)
+        flags = ["--json"] if as_json else []
+        assert run(["classify", "-s", path, *flags]) == EXIT_OK
+        out = capsys.readouterr().out
+        density = (
+            json.loads(out)["density"] if as_json
+            else out.splitlines()[1].removeprefix("regularity density: ")
+        )
+        assert decimal_value(density) == value
+        assert run(["dualize", "-s", path, *flags]) == EXIT_OK
+        out = capsys.readouterr().out
+        e_text = (
+            json.loads(out)["E"][0][1] if as_json
+            else out.splitlines()[0].removeprefix("E = (").removesuffix(") @z")
+        )
+        assert e_text.startswith("1/")
+        assert decimal_value(e_text[2:]) == value
 
     def test_pair_file_violations(self, tmp_path, capsys):
         empty = write_json(tmp_path, "empty.json", [])

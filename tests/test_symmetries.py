@@ -827,3 +827,68 @@ class TestFirstOrderSymbols:
 
         _first_order_symbols(_setting(cov, con), builder)
         assert len(calls) == 6 * 6
+
+
+def fresh_dual(name: str):
+    """A newly dualized (cov, con): its con carries no context yet."""
+    cov = get_example(name).cov
+    return cov, dualize(cov)
+
+
+class TestStructureContext:
+    @pytest.mark.parametrize("name,max_degree", [("cosym3", 2), ("acc3", 2), ("contact5", 1)])
+    def test_held_dual_matches_a_fresh_dual_per_call(self, name, max_degree):
+        cov, con = fresh_dual(name)
+        for target in SymmetryTarget:
+            for degree in range(1, max_degree + 1):
+                held = find_generator_pairs(cov, con, target, degree)
+                fresh = find_generator_pairs(cov, dualize(cov), target, degree)
+                assert term_dicts(held) == term_dicts(fresh), (target, degree)
+        assert _setting(cov, con) is _setting(cov, con)
+
+    def test_each_builder_runs_once_per_dual(self, monkeypatch):
+        # a d = 1 sweep of every target builds each condition's symbols once
+        calls = dict.fromkeys(_CONDITIONS, 0)
+        for condition, (label, builder) in list(_CONDITIONS.items()):
+
+            def counting(s, g, builder=builder, condition=condition):
+                calls[condition] += 1
+                return builder(s, g)
+
+            monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
+        cov, con = fresh_dual("contact5")
+        for target in SymmetryTarget:
+            find_generator_pairs(cov, con, target, 1)
+        assert calls == dict.fromkeys(_CONDITIONS, 6 * 6)
+
+    def test_another_cov_rebuilds_the_context(self):
+        cov, con = fresh_dual("acc3")
+        other = get_example("cosym3").cov
+        assert other.chart == cov.chart
+        first = _setting(cov, con)
+        differs = False
+        for target in SymmetryTarget:
+            held = find_generator_pairs(cov, con, target, 1)
+            swapped = find_generator_pairs(other, con, target, 1)
+            fresh = find_generator_pairs(other, dualize(cov), target, 1)
+            assert term_dicts(swapped) == term_dicts(fresh), target
+            differs = differs or term_dicts(swapped) != term_dicts(held)
+        # the swap changes some basis, so a kept stale context would show
+        assert differs
+        assert _setting(other, con).cov is other
+        assert _setting(cov, con) is not first
+
+    @pytest.mark.parametrize("name,max_degree", [("acc3", 2), ("contact5", 1)])
+    def test_trivial_filter_matches_the_vector_field(self, duals, name, max_degree):
+        cov, con = duals[name]
+        trivial_seen = 0
+        for target in SymmetryTarget:
+            for degree in range(1, max_degree + 1):
+                everything = find_generator_pairs(
+                    cov, con, target, degree, include_trivial=True
+                )
+                kept = [g for g in everything if not pair_to_vector(cov, con, g).is_zero()]
+                trivial_seen += len(everything) - len(kept)
+                found = find_generator_pairs(cov, con, target, degree)
+                assert term_dicts(found) == term_dicts(kept), (target, degree)
+        assert trivial_seen
