@@ -14,7 +14,8 @@ MAX_DIGITS digits, well inside what int() converts.  Parentheses and unary
 minus signs together nest at most MAX_NESTING deep, which keeps the
 recursive descent inside the interpreter's recursion limit.  Every error
 carries the 0-based position of the offending token.  The printer
-emits the same grammar, so parse(format(s)) == s for every scalar s.
+emits the same grammar, so parse(format(s)) == s for every scalar s whose
+coefficients fit in MAX_DIGITS digits; it prints integers of any size.
 """
 
 from __future__ import annotations
