@@ -10,7 +10,12 @@ from .poly import (
     grlex_key,
     refresh_term_limit,
 )
-from .scalar import PoleError, Scalar, ScalarDivisionError
+from .scalar import (
+    PoleError,
+    Scalar,
+    ScalarDivisionError,
+    sum_over_common_denominator,
+)
 
 __all__ = [
     "Chart",
@@ -29,4 +34,5 @@ __all__ = [
     "rational_nullspace",
     "refresh_term_limit",
     "solve_unique",
+    "sum_over_common_denominator",
 ]

@@ -9,6 +9,13 @@ i.e. the first wedge factor fills the first slot.  The same front-slot rule
 is used for contracting forms into multivectors, which makes
 i_alpha Lambda the sharp map with components (alpha#)^k = sum_j alpha_j L^jk.
 
+Every operation builds each output component once, as one quotient over
+the common denominator of its terms: the sum, the wedge product, d and
+the contractions (and so sharp, pairings and X.f) collect their terms per
+output index and sum them with `sum_over_common_denominator`.  Adding the
+terms one at a time would multiply denominators that divide each other,
+so p/d + q/d^2 would land over d^3 instead of d^2.
+
 The Schouten-Nijenhuis bracket of a p-vector P and a q-vector Q is computed
 by the odd-variable (superfunction) formula of C.-M. Marle, "The
 Schouten-Nijenhuis bracket and interior products", J. Geom. Phys. 23
@@ -19,9 +26,8 @@ Schouten-Nijenhuis bracket and interior products", J. Geom. Phys. 23
 
 where d_{x_i} differentiates every component and the left derivative
 d_{xi_i} is the front-slot contraction of dx^i.  It is evaluated on
-polynomial numerators over one common denominator per argument, so each
-output component is a single quotient rather than a sum of reduced
-rational terms (see `schouten_bracket`).  Its defining identity
+polynomial numerators over one common denominator per argument, so here
+too each output component is a single quotient (see `schouten_bracket`).  Its defining identity
 
     i_[P,Q] beta = (-1)^(q(p+1)) i_P d i_Q beta + (-1)^p i_Q d i_P beta
                    - i_(P wedge Q) d beta
@@ -35,7 +41,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Chart, Poly, Scalar, common_denominator
+from .algebra import (
+    Chart,
+    Poly,
+    Scalar,
+    common_denominator,
+    sum_over_common_denominator,
+)
 
 Index = tuple[int, ...]
 
@@ -80,6 +92,14 @@ def _merge(left: Index, right: Index) -> tuple[int, Index] | None:
     merged.extend(left[i:])
     merged.extend(right[j:])
     return (-1 if inversions % 2 else 1), tuple(merged)
+
+
+def _summed(nvars: int, terms: dict[Index, list[Scalar]]) -> dict[Index, Scalar]:
+    """One quotient per index: the terms collected for it, summed at once."""
+    return {
+        index: sum_over_common_denominator(nvars, values)
+        for index, values in terms.items()
+    }
 
 
 def sort_index(index: tuple[int, ...]) -> tuple[int, Index] | None:
@@ -165,13 +185,10 @@ class _Tensor:
 
     def __add__(self, other: "_Tensor") -> "_Tensor":
         self._compatible(other)
-        comps = dict(self.comps)
+        terms = {index: [value] for index, value in self.comps.items()}
         for index, value in other.comps.items():
-            if index in comps:
-                comps[index] = comps[index] + value
-            else:
-                comps[index] = value
-        return type(self)(self.chart, self.degree, comps)
+            terms.setdefault(index, []).append(value)
+        return type(self)(self.chart, self.degree, _summed(self.chart.dim, terms))
 
     def __neg__(self) -> "_Tensor":
         return type(self)(
@@ -245,7 +262,7 @@ def wedge(a: _Tensor, b: _Tensor) -> _Tensor:
     if a.chart != b.chart:
         raise ChartMismatch("tensors live on different charts")
     degree = a.degree + b.degree
-    comps: dict[Index, Scalar] = {}
+    terms: dict[Index, list[Scalar]] = {}
     for left, f in a.comps.items():
         for right, g in b.comps.items():
             merged = _merge(left, right)
@@ -253,13 +270,8 @@ def wedge(a: _Tensor, b: _Tensor) -> _Tensor:
                 continue
             sign, key = merged
             term = f * g
-            if sign < 0:
-                term = -term
-            if key in comps:
-                comps[key] = comps[key] + term
-            else:
-                comps[key] = term
-    return type(a)(a.chart, degree, comps)
+            terms.setdefault(key, []).append(term if sign > 0 else -term)
+    return type(a)(a.chart, degree, _summed(a.chart.dim, terms))
 
 
 def exterior_derivative(beta: DiffForm) -> DiffForm:
@@ -267,7 +279,7 @@ def exterior_derivative(beta: DiffForm) -> DiffForm:
     if not isinstance(beta, DiffForm):
         raise KindMismatch("exterior derivative applies to differential forms")
     chart = beta.chart
-    comps: dict[Index, Scalar] = {}
+    terms: dict[Index, list[Scalar]] = {}
     for index, value in beta.comps.items():
         for i in range(chart.dim):
             if i in index:
@@ -276,12 +288,10 @@ def exterior_derivative(beta: DiffForm) -> DiffForm:
             if derivative.is_zero():
                 continue
             sign, key = _merge((i,), index)
-            term = derivative if sign > 0 else -derivative
-            if key in comps:
-                comps[key] = comps[key] + term
-            else:
-                comps[key] = term
-    return DiffForm(chart, beta.degree + 1, comps)
+            terms.setdefault(key, []).append(
+                derivative if sign > 0 else -derivative
+            )
+    return DiffForm(chart, beta.degree + 1, _summed(chart.dim, terms))
 
 
 def _contract(a: _Tensor, b: _Tensor) -> _Tensor:
@@ -297,7 +307,7 @@ def _contract(a: _Tensor, b: _Tensor) -> _Tensor:
     p, q = a.degree, b.degree
     if p > q:
         return type(b)(b.chart, 0)
-    comps: dict[Index, Scalar] = {}
+    terms: dict[Index, list[Scalar]] = {}
     for full, coeff in b.comps.items():
         for sub in combinations(full, p):
             value = a.comps.get(sub)
@@ -311,13 +321,8 @@ def _contract(a: _Tensor, b: _Tensor) -> _Tensor:
             for s in sub:
                 inversions += sum(1 for r in rest if r < s)
             term = value * coeff
-            if inversions % 2:
-                term = -term
-            if rest in comps:
-                comps[rest] = comps[rest] + term
-            else:
-                comps[rest] = term
-    return type(b)(b.chart, q - p, comps)
+            terms.setdefault(rest, []).append(-term if inversions % 2 else term)
+    return type(b)(b.chart, q - p, _summed(b.chart.dim, terms))
 
 
 def interior_product(a: _Tensor, b: _Tensor) -> _Tensor:
@@ -370,10 +375,9 @@ def lie_derivative_scalar(x: Multivector, f: Scalar) -> Scalar:
     """Directional derivative X.f."""
     if x.degree != 1:
         raise DegreeError("directional derivative along a vector field only")
-    total = Scalar.zero(x.chart.dim)
-    for (k,), coeff in x.comps.items():
-        total = total + coeff * f.partial(k)
-    return total
+    return sum_over_common_denominator(
+        x.chart.dim, [coeff * f.partial(k) for (k,), coeff in x.comps.items()]
+    )
 
 
 _Terms = dict[tuple[int, ...], Fraction]

@@ -29,7 +29,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import Chart, Scalar, common_denominator, rational_nullspace
+from .algebra import (
+    Chart,
+    Scalar,
+    common_denominator,
+    rational_nullspace,
+    sum_over_common_denominator,
+)
 from .algebra.poly import Poly
 from .exterior import (
     DiffForm,
@@ -218,10 +224,13 @@ def _bracket_formula(s: _Setting, g1: GeneratorPair, g2: GeneratorPair) -> Gener
         + _reeb_form(s, g2.alpha).scale(h1)
         - _reeb_form(s, g1.alpha).scale(h2)
     )
-    h_out = (
-        core.h
-        + h1 * _reeb_scalar_residual(s, g2)
-        - h2 * _reeb_scalar_residual(s, g1)
+    h_out = sum_over_common_denominator(
+        s.cov.chart.dim,
+        [
+            core.h,
+            h1 * _reeb_scalar_residual(s, g2),
+            -(h2 * _reeb_scalar_residual(s, g1)),
+        ],
     )
     return GeneratorPair(alpha_out, h_out)
 
@@ -243,10 +252,13 @@ def _transverse_terms(
         + _contract(a2s, s.d_omega).scale(a1_e)
         - _contract(a1s, s.d_omega).scale(a2_e)
     )
-    h = (
-        lie_derivative_scalar(a1s, h2)
-        - lie_derivative_scalar(a2s, h1)
-        - pairing(s.d_omega, a1s, a2s)
+    h = sum_over_common_denominator(
+        s.cov.chart.dim,
+        [
+            lie_derivative_scalar(a1s, h2),
+            -lie_derivative_scalar(a2s, h1),
+            -pairing(s.d_omega, a1s, a2s),
+        ],
     )
     return GeneratorPair(alpha, h)
 
@@ -268,7 +280,10 @@ def _omega_residual(s: _Setting, g: GeneratorPair) -> DiffForm:
 
 def _reeb_scalar_residual(s: _Setting, g: GeneratorPair) -> Scalar:
     """E.h + Lambda(L_E omega, alpha): the Reeb component of the omega residual."""
-    return lie_derivative_scalar(s.con.E, g.h) + lambda_pair(s.con, s.tau, g.alpha)
+    return sum_over_common_denominator(
+        s.cov.chart.dim,
+        [lie_derivative_scalar(s.con.E, g.h), lambda_pair(s.con, s.tau, g.alpha)],
+    )
 
 
 def _image_vector_residual(s: _Setting, g: GeneratorPair) -> Multivector:

@@ -1,10 +1,16 @@
 """End-to-end exercises of the command line front end."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cckit.algebra import refresh_term_limit
 from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
@@ -13,6 +19,8 @@ from cckit.cli.files import load_structure, structure_spec
 from cckit.structures import CovariantPair
 
 from conftest import FIXTURES_DIR
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def fixture(name: str) -> str:
@@ -435,6 +443,21 @@ class TestTermLimit:
         assert code == EXIT_INPUT_ERROR
         assert "CCKIT_MAX_TERMS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["panel_pair_dim3", "panel_pair_dim5"])
+    def test_rational_identity_sums_stay_under_the_cap(self, name, monkeypatch, capsys):
+        # closed regular pairs drawn by bench.workloads.random_closed_pair
+        # from DUAL_PANEL_SEED (dual-certify inputs 167 and 398); summed
+        # pairwise, [E, Lambda] + E ^ (Lambda# tau) reached 1160 and 2530
+        # terms and verify exited 2
+        monkeypatch.setenv("CCKIT_MAX_TERMS", "1000")
+        try:
+            code = run(["verify", "-s", str(DATA_DIR / f"{name}.json"), "--json"])
+        finally:
+            monkeypatch.delenv("CCKIT_MAX_TERMS")
+            refresh_term_limit()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_generous_cap_changes_nothing(self, monkeypatch, capsys):
         monkeypatch.setenv("CCKIT_MAX_TERMS", "100000")
         try:
@@ -466,3 +489,125 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "almost_cosymplectic_contact" in result.stdout
+
+
+NAMES = ("x", "y", "z", "u", "w")
+ODD_NAMES = ["x", "2x", "x y", "", "x"]
+ODD_EXPRESSIONS = ["", "x +", "((x)", "x^y", "2**3", "1/0", "1/(x-x)", "0.5*x",
+                   "x^-1", "(x+y+z+1)^32", "9" * 40, "q"]
+WILD = st.one_of(st.none(), st.booleans(), st.integers(-1, 6), st.floats(0, 2),
+                 st.text(max_size=3), st.just([]), st.just({}))
+DEFECTS = ("dimension", "coordinates", "expression", "indices", "duplicate",
+           "missing", "structure", "pairs")
+
+
+def expressions(names: tuple[str, ...]) -> st.SearchStrategy[str]:
+    """Well-formed expressions over `names`, rational ones included."""
+    atoms = st.sampled_from(list(names) + ["1", "2", "-3", "1/2"])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ),
+        max_leaves=5,
+    )
+
+
+def form_doc(draw, names: tuple[str, ...], degree: int) -> list:
+    keys = list(combinations(range(len(names)), degree))
+    if not keys:
+        return []
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=4))
+    return [[list(key), draw(expressions(names))] for key in sorted(chosen)]
+
+
+@st.composite
+def documents(draw):
+    """A structure file and a pair file, at most one of them with one defect."""
+    dim = draw(st.sampled_from([3] * 6 + [5] * 2 + [1, 0, 2, 4, -1]))
+    names = NAMES[: max(dim, 0)]
+    structure = {
+        "dimension": dim,
+        "coordinates": list(names),
+        "omega": form_doc(draw, names, 1),
+        "Omega": form_doc(draw, names, 2),
+    }
+    pairs = [
+        {"alpha": form_doc(draw, names, 1), "h": draw(expressions(names))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    entries = [e for form in (structure["omega"], structure["Omega"]) for e in form]
+    entries += [e for pair in pairs for e in pair["alpha"]]
+    defect = draw(st.sampled_from((None,) * 8 + DEFECTS))
+    if defect == "dimension":
+        structure["dimension"] = draw(st.one_of(WILD, st.integers(-1, 6)))
+    elif defect == "coordinates":
+        structure["coordinates"] = draw(
+            st.one_of(WILD, st.lists(st.sampled_from(ODD_NAMES), max_size=5))
+        )
+    elif defect == "expression" and entries:
+        entry = draw(st.sampled_from(entries))
+        entry[1] = draw(st.one_of(st.sampled_from(ODD_EXPRESSIONS), WILD))
+    elif defect == "indices" and entries:
+        entry = draw(st.sampled_from(entries))
+        entry[0] = draw(st.one_of(
+            WILD, st.lists(st.one_of(st.integers(-1, 6), st.booleans()), max_size=3)
+        ))
+    elif defect == "duplicate" and structure["Omega"]:
+        structure["Omega"].append(structure["Omega"][0])
+    elif defect == "missing":
+        target = draw(st.sampled_from([structure, pairs[0]]))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif defect == "structure":
+        structure = draw(WILD)
+    elif defect == "pairs":
+        pairs = draw(WILD)
+    return structure, pairs[0] if isinstance(pairs, list) and len(pairs) == 1 else pairs
+
+
+COMMANDS = st.one_of(
+    st.sampled_from([["classify"], ["dualize"], ["verify"], ["bracket", "-p"]]),
+    st.sampled_from(["omega", "Omega", "E", "Lambda", "cov_pair", "contra_pair",
+                     "E_Omega", "Lambda_Omega", "E_omega", "Lambda_omega"]).map(
+        lambda target: ["symmetry", "-p", "-t", target]
+    ),
+)
+
+
+class TestNeverATraceback:
+    """Any JSON document gives exit code 0, 1 or 2 and raises nothing."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        command=COMMANDS,
+        docs=documents(),
+        as_json=st.booleans(),
+    )
+    def test_cli_contract(self, command, docs, as_json):
+        structure, pairs = docs
+        with tempfile.TemporaryDirectory() as workdir:
+            structure_path = Path(workdir) / "structure.json"
+            pairs_path = Path(workdir) / "pairs.json"
+            structure_path.write_text(json.dumps(structure), encoding="utf-8")
+            pairs_path.write_text(json.dumps(pairs), encoding="utf-8")
+            argv = [command[0], "-s", str(structure_path)]
+            if "-p" in command:
+                argv += ["-p", str(pairs_path)]
+            if "-t" in command:
+                argv += ["-t", command[-1]]
+            if as_json:
+                argv.append("--json")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("CCKIT_MAX_TERMS", "200")
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = run(argv)
+                finally:
+                    patch.delenv("CCKIT_MAX_TERMS")
+                    refresh_term_limit()
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR)

@@ -4,11 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cckit import (
     Chart,
     CovariantPair,
     DiffForm,
+    GeneratorPair,
     Multivector,
     Scalar,
     dualize,
@@ -16,6 +18,7 @@ from cckit import (
     interior_product,
     lie_derivative_form,
     lie_derivative_scalar,
+    pair_bracket,
     pairing,
     parse_scalar,
     schouten_bracket,
@@ -25,6 +28,7 @@ from cckit.exterior import (
     DegreeError,
     KindMismatch,
     _contract,
+    _merge,
     coordinate_form,
     coordinate_vector,
     form_on_vector,
@@ -363,3 +367,149 @@ class TestDegreeZeroEdges:
     def test_empty_form_is_zero(self):
         assert zero_form(CHART, 2).is_zero()
         assert not form1(x="1").is_zero()
+
+
+# -- one quotient per output component ----------------------------------------
+
+
+def _accumulated(items) -> dict:
+    """The former accumulation: each term added to its component pairwise."""
+    comps = {}
+    for key, term in items:
+        comps[key] = comps[key] + term if key in comps else term
+    return comps
+
+
+def pairwise_add(a, b):
+    """a + b summed pairwise with Scalar.__add__, a test-only oracle."""
+    return type(a)(a.chart, a.degree, _accumulated([*a.comps.items(), *b.comps.items()]))
+
+
+def pairwise_wedge(a, b):
+    """wedge(a, b) summed pairwise with Scalar.__add__, a test-only oracle."""
+    items = []
+    for left, f in a.comps.items():
+        for right, g in b.comps.items():
+            merged = _merge(left, right)
+            if merged is not None:
+                sign, key = merged
+                items.append((key, f * g if sign > 0 else -(f * g)))
+    return type(a)(a.chart, a.degree + b.degree, _accumulated(items))
+
+
+def pairwise_d(beta):
+    """d beta summed pairwise with Scalar.__add__, a test-only oracle."""
+    items = []
+    for index, value in beta.comps.items():
+        for i in range(beta.chart.dim):
+            if i not in index:
+                sign, key = _merge((i,), index)
+                derivative = value.partial(i)
+                items.append((key, derivative if sign > 0 else -derivative))
+    return DiffForm(beta.chart, beta.degree + 1, _accumulated(items))
+
+
+def pairwise_contract(a, b):
+    """_contract(a, b) summed pairwise with Scalar.__add__, a test-only oracle."""
+    items = []
+    for full, coeff in b.comps.items():
+        for sub in combinations(full, a.degree):
+            value = a.comps.get(sub)
+            if value is not None:
+                rest = tuple(i for i in full if i not in sub)
+                inversions = sum(1 for j in sub for r in rest if r < j)
+                term = value * coeff
+                items.append((rest, -term if inversions % 2 else term))
+    return type(b)(b.chart, b.degree - a.degree, _accumulated(items))
+
+
+def pairwise_lie_scalar(x, f):
+    """X.f summed pairwise with Scalar.__add__, a test-only oracle."""
+    total = Scalar.zero(x.chart.dim)
+    for (k,), coeff in x.comps.items():
+        total = total + coeff * f.partial(k)
+    return total
+
+
+# nested (d, d^2, d e) and unrelated (d, e) denominators
+DENOMINATORS = ["1", "1 + y", "(1 + y)^2", "(1 + y)*(1 + z^2)", "1 + z^2", "1 + x*y"]
+
+
+@st.composite
+def rational_tensors(draw, kind, degree):
+    comps = {}
+    for key in combinations(range(CHART.dim), degree):
+        if draw(st.booleans()):
+            num = draw(st.sampled_from(["1", "x", "-2*y + z", "x*z - 1", "y^2"]))
+            den = draw(st.sampled_from(DENOMINATORS))
+            comps[key] = s(f"({num})/({den})")
+    return kind(CHART, degree, comps)
+
+
+def rational_scalars():
+    return st.builds(
+        lambda num, den: s(f"({num})/({den})"),
+        st.sampled_from(["x", "y*z + 1", "x^2 - z"]),
+        st.sampled_from(DENOMINATORS),
+    )
+
+
+class TestOneQuotientPerComponent:
+    """Each output component equals the pairwise sum as a value."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_add(self, data):
+        degree = data.draw(st.integers(0, 2))
+        a = data.draw(rational_tensors(DiffForm, degree))
+        b = data.draw(rational_tensors(DiffForm, degree))
+        assert a + b == pairwise_add(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_wedge(self, data):
+        kind = data.draw(st.sampled_from([DiffForm, Multivector]))
+        a = data.draw(rational_tensors(kind, data.draw(st.integers(0, 2))))
+        b = data.draw(rational_tensors(kind, data.draw(st.integers(1, 2))))
+        assert wedge(a, b) == pairwise_wedge(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_exterior_derivative(self, data):
+        beta = data.draw(rational_tensors(DiffForm, data.draw(st.integers(0, 2))))
+        assert exterior_derivative(beta) == pairwise_d(beta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_contract(self, data):
+        p = data.draw(st.integers(0, 2))
+        kinds = data.draw(st.sampled_from([(Multivector, DiffForm), (DiffForm, Multivector)]))
+        a = data.draw(rational_tensors(kinds[0], p))
+        b = data.draw(rational_tensors(kinds[1], data.draw(st.integers(p, 3))))
+        assert _contract(a, b) == pairwise_contract(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_tensors(Multivector, 1), rational_scalars())
+    def test_lie_derivative_scalar(self, x, f):
+        assert lie_derivative_scalar(x, f) == pairwise_lie_scalar(x, f)
+
+    def test_nested_denominators_are_not_multiplied(self):
+        # pairwise, x/(y+1) + z/(y+1)^2 lands over (y+1)^3
+        total = form1(x="x/(y + 1)") + form1(x="z/(y + 1)^2")
+        assert total.comps[(0,)] == s("(x*y + x + z)/(y + 1)^2")
+        assert total.comps[(0,)].den == s("(y + 1)^2").num
+
+    def test_acc3_pair_bracket_stays_over_the_dual_denominator_squared(self, duals):
+        # pairwise sums gave (y+1)^14, (y+1)^18, (y+1)^10 and (y+1)^8 here
+        cov, con = duals["acc3"]
+
+        def pair(alpha, h):
+            return GeneratorPair(form1(**alpha), s(h))
+
+        g1 = pair({"x": "x*y + z", "y": "x^2", "z": "y*z"}, "x*z + y^2")
+        g2 = pair({"x": "z^2", "y": "x + y*z", "z": "1 + x"}, "y*z - x")
+        out = pair_bracket(cov, con, g1, g2)
+        square = s("(y + 1)^2").num
+        assert sorted(out.alpha.comps) == [(0,), (1,), (2,)]
+        assert all(value.den == square for value in out.alpha.comps.values())
+        assert out.h.den == square
