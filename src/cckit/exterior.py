@@ -27,7 +27,8 @@ Schouten-Nijenhuis bracket and interior products", J. Geom. Phys. 23
 where d_{x_i} differentiates every component and the left derivative
 d_{xi_i} is the front-slot contraction of dx^i.  It is evaluated on
 polynomial numerators over one common denominator per argument, so here
-too each output component is a single quotient (see `schouten_bracket`).  Its defining identity
+too each output component is a single quotient (see `schouten_bracket`).
+Its defining identity
 
     i_[P,Q] beta = (-1)^(q(p+1)) i_P d i_Q beta + (-1)^p i_Q d i_P beta
                    - i_(P wedge Q) d beta

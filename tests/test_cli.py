@@ -17,6 +17,7 @@ from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
 from cckit.structures import CovariantPair
+from cckit.symmetries import SymmetryTarget
 
 from conftest import FIXTURES_DIR
 
@@ -569,11 +570,12 @@ def documents(draw):
 
 
 COMMANDS = st.one_of(
-    st.sampled_from([["classify"], ["dualize"], ["verify"], ["bracket", "-p"]]),
-    st.sampled_from(["omega", "Omega", "E", "Lambda", "cov_pair", "contra_pair",
-                     "E_Omega", "Lambda_Omega", "E_omega", "Lambda_omega"]).map(
-        lambda target: ["symmetry", "-p", "-t", target]
+    st.sampled_from(
+        [["classify"], ["dualize"], ["verify"], ["bracket", "-p", "{pairs}"]]
     ),
+    st.sampled_from([
+        ["symmetry", "-p", "{pairs}", "-t", target.value] for target in SymmetryTarget
+    ]),
 )
 
 
@@ -582,11 +584,7 @@ class TestNeverATraceback:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        command=COMMANDS,
-        docs=documents(),
-        as_json=st.booleans(),
-    )
+    @given(command=COMMANDS, docs=documents(), as_json=st.booleans())
     def test_cli_contract(self, command, docs, as_json):
         structure, pairs = docs
         with tempfile.TemporaryDirectory() as workdir:
@@ -594,20 +592,14 @@ class TestNeverATraceback:
             pairs_path = Path(workdir) / "pairs.json"
             structure_path.write_text(json.dumps(structure), encoding="utf-8")
             pairs_path.write_text(json.dumps(pairs), encoding="utf-8")
-            argv = [command[0], "-s", str(structure_path)]
-            if "-p" in command:
-                argv += ["-p", str(pairs_path)]
-            if "-t" in command:
-                argv += ["-t", command[-1]]
-            if as_json:
-                argv.append("--json")
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setenv("CCKIT_MAX_TERMS", "200")
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        code = run(argv)
-                finally:
-                    patch.delenv("CCKIT_MAX_TERMS")
-                    refresh_term_limit()
+            argv = [arg.format(pairs=pairs_path) for arg in command]
+            argv += ["-s", str(structure_path)] + (["--json"] if as_json else [])
+            try:
+                with pytest.MonkeyPatch.context() as patch, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    patch.setenv("CCKIT_MAX_TERMS", "200")
+                    code = run(argv)
+            finally:
+                refresh_term_limit()
         assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR)

@@ -382,7 +382,8 @@ def _accumulated(items) -> dict:
 
 def pairwise_add(a, b):
     """a + b summed pairwise with Scalar.__add__, a test-only oracle."""
-    return type(a)(a.chart, a.degree, _accumulated([*a.comps.items(), *b.comps.items()]))
+    items = [*a.comps.items(), *b.comps.items()]
+    return type(a)(a.chart, a.degree, _accumulated(items))
 
 
 def pairwise_wedge(a, b):
@@ -483,7 +484,9 @@ class TestOneQuotientPerComponent:
     @given(st.data())
     def test_contract(self, data):
         p = data.draw(st.integers(0, 2))
-        kinds = data.draw(st.sampled_from([(Multivector, DiffForm), (DiffForm, Multivector)]))
+        kinds = data.draw(
+            st.sampled_from([(Multivector, DiffForm), (DiffForm, Multivector)])
+        )
         a = data.draw(rational_tensors(kinds[0], p))
         b = data.draw(rational_tensors(kinds[1], data.draw(st.integers(p, 3))))
         assert _contract(a, b) == pairwise_contract(a, b)
