@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over Q.
 
 A polynomial is a map from exponent vectors (tuples of non-negative ints,
-one slot per chart coordinate) to nonzero :class:`~fractions.Fraction`
-coefficients.  The zero polynomial is the empty map.  Constructors drop
-zero coefficients, so dict equality is polynomial equality.
+one slot per chart coordinate) to nonzero rational coefficients.  The
+constructor drops zero coefficients, so dict equality is polynomial
+equality, and stores an integral coefficient as an ``int`` and any other
+as a :class:`~fractions.Fraction`.  Most coefficients are integers, so
+products and sums mostly run on machine ints; since ``2 == Fraction(2)``
+with equal hashes, the choice never shows in equality or printing.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector), which fixes leading terms and the
@@ -23,10 +26,11 @@ from functools import reduce
 from math import gcd, lcm
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 _ENV_VAR = "CCKIT_MAX_TERMS"
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class TermLimitExceeded(RuntimeError):
@@ -63,15 +67,20 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational coefficients.
+
+    Every stored coefficient is an ``int`` or a non-integral ``Fraction``.
+    """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(self, nvars: int, terms: dict[Exponent, Coeff] | None = None):
+        clean: dict[Exponent, Coeff] = {}
         if terms:
             for exponent, coeff in terms.items():
                 if coeff:
+                    if type(coeff) is not int and coeff.denominator == 1:
+                        coeff = coeff.numerator
                     clean[exponent] = coeff
         limit = _term_limit
         if limit is not None and len(clean) > limit:
@@ -93,18 +102,18 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def const(cls, nvars: int, value: Fraction | int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+    def const(cls, nvars: int, value: Coeff) -> "Poly":
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range")
         exponent = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exponent: Fraction(1)})
+        return cls(nvars, {exponent: 1})
 
     # -- queries ----------------------------------------------------------
 
@@ -117,24 +126,25 @@ class Poly:
         ))
 
     def constant_value(self) -> Fraction:
+        """The constant as a Fraction, so that 1 / value stays exact."""
         if self.is_zero():
-            return _ZERO
+            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exponent = max(self.terms, key=grlex_key)
         return exponent, self.terms[exponent]
 
-    def terms_sorted(self) -> list[tuple[Exponent, Fraction]]:
+    def terms_sorted(self) -> list[tuple[Exponent, Coeff]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def content_signed(self) -> Fraction:
@@ -178,7 +188,7 @@ class Poly:
         self._check(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.nvars)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exponent = tuple(a + b for a, b in zip(e1, e2))
@@ -189,8 +199,7 @@ class Poly:
                     del terms[exponent]
         return Poly(self.nvars, terms)
 
-    def scale(self, factor: Fraction | int) -> "Poly":
-        factor = Fraction(factor)
+    def scale(self, factor: Coeff) -> "Poly":
         if not factor:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {e: c * factor for e, c in self.terms.items()})
@@ -241,7 +250,7 @@ class Poly:
             return Poly.zero(self.nvars)
         lead_exp, lead_coeff = divisor.leading()
         remainder = dict(self.terms)
-        quotient: dict[Exponent, Fraction] = {}
+        quotient: dict[Exponent, Coeff] = {}
         steps = 0
         while remainder:
             steps += 1
@@ -251,7 +260,15 @@ class Poly:
             shift = tuple(a - b for a, b in zip(top, lead_exp))
             if any(e < 0 for e in shift):
                 return None
-            factor = remainder[top] / lead_coeff
+            top_coeff = remainder[top]
+            if (
+                type(top_coeff) is int
+                and type(lead_coeff) is int
+                and not top_coeff % lead_coeff
+            ):
+                factor = top_coeff // lead_coeff
+            else:
+                factor = Fraction(top_coeff, lead_coeff)
             quotient[shift] = factor
             for exponent, coeff in divisor.terms.items():
                 target = tuple(a + b for a, b in zip(exponent, shift))
@@ -267,7 +284,7 @@ class Poly:
     def partial(self, index: int) -> "Poly":
         if not 0 <= index < self.nvars:
             raise IndexError(f"variable index {index} out of range")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coeff] = {}
         for exponent, coeff in self.terms.items():
             e = exponent[index]
             if not e:
@@ -278,11 +295,11 @@ class Poly:
             terms[lowered] = terms.get(lowered, _ZERO) + coeff * e
         return Poly(self.nvars, terms)
 
-    def eval_at(self, point: tuple[Fraction | int, ...]) -> Fraction:
+    def eval_at(self, point: tuple[Coeff, ...]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point dimension does not match")
         values = tuple(Fraction(v) for v in point)
-        total = _ZERO
+        total = Fraction(0)
         for exponent, coeff in self.terms.items():
             term = coeff
             for value, e in zip(values, exponent):

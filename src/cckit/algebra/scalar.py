@@ -127,7 +127,12 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den)
+        # -num/den of a reduced quotient is reduced: the monomial strip, the
+        # content and the capped division all give the same result up to sign
+        out = object.__new__(Scalar)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other: object) -> "Scalar":
         rhs = self._coerce(other)
