@@ -1,16 +1,19 @@
 """Polynomials, rational scalars, the parser, and the printer."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cckit import Chart, ParseError, Poly, Scalar, format_scalar, parse_scalar
+from cckit import Chart, ParseError, Poly, Scalar, dualize, format_scalar, parse_scalar
 from cckit.algebra import common_denominator, grlex_key, refresh_term_limit
+from cckit.cli.files import load_structure
 from cckit.algebra.poly import TermLimitExceeded
 from cckit.algebra.scalar import PoleError, ScalarDivisionError
 
 CHART3 = Chart(("x", "y", "z"))
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 coeffs = st.integers(min_value=-6, max_value=6).map(Fraction)
 exponents = st.tuples(
@@ -34,6 +37,52 @@ def scalars(draw):
     num = draw(polys())
     den = draw(polys().filter(lambda p: not p.is_zero()))
     return Scalar(num, den)
+
+
+# ints, integral Fractions and non-integral Fractions, as callers may pass them
+rational_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def rational_polys(draw):
+    terms = draw(st.dictionaries(exponents, rational_coeffs, max_size=4))
+    return Poly(3, terms)
+
+
+@st.composite
+def rational_scalars(draw):
+    num = draw(rational_polys())
+    den = draw(rational_polys().filter(lambda p: not p.is_zero()))
+    return Scalar(num, den)
+
+
+def assert_canonical_coefficients(value):
+    """Every coefficient under value is an int or a non-integral Fraction."""
+    if isinstance(value, Poly):
+        for coeff in value.terms.values():
+            assert type(coeff) is int or (
+                type(coeff) is Fraction and coeff.denominator != 1
+            ), f"{coeff!r} stored as {type(coeff).__name__}"
+    elif isinstance(value, Scalar):
+        assert_canonical_coefficients(value.num)
+        assert_canonical_coefficients(value.den)
+    else:
+        for component in value.comps.values():
+            assert_canonical_coefficients(component)
+
+
+def fraction_product(a, b):
+    """The product's term map, convolved in Fraction arithmetic only."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exponent = tuple(x + y for x, y in zip(e1, e2))
+            product = Fraction(c1) * Fraction(c2)
+            terms[exponent] = terms.get(exponent, Fraction(0)) + product
+    return {e: c for e, c in terms.items() if c}
 
 
 class TestChart:
@@ -126,6 +175,92 @@ class TestPoly:
         assert (-p).content_signed() == Fraction(-2)
         q = parse_scalar("x/2 + y/3", CHART3).num
         assert q.content_signed() == Fraction(1, 6)
+
+
+class TestCoefficients:
+    """Integral coefficients are stored as ints, all others as Fractions."""
+
+    @given(rational_polys(), rational_polys(), rational_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_poly_operations_keep_canonical_coefficients(self, a, b, factor):
+        results = [a, b, a + b, a - b, -a, a * b, a.scale(factor), a.scale(Fraction(2))]
+        results += [a.partial(i) for i in range(3)]
+        for p in (a, b):
+            results.append(p.scale(1 / p.content_signed()))
+        if not b.is_zero():
+            product = a * b
+            results.append(product.exact_div(b))
+            for cap in (1, 2, 2 * len(product.terms) + 16):
+                quotient = product.exact_div(b, step_cap=cap)
+                if quotient is not None:
+                    assert quotient == a
+                    results.append(quotient)
+            quotient = (a + Poly.one(3)).exact_div(b)
+            if quotient is not None:
+                results.append(quotient)
+        for result in results:
+            assert_canonical_coefficients(result)
+
+    @given(rational_scalars(), rational_scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_operations_keep_canonical_coefficients(self, a, b):
+        results = [a, b, a + b, a - b, -a, a * b]
+        results += [a.partial(i) for i in range(3)]
+        if not b.is_zero():
+            results.append(a / b)
+        for result in results:
+            assert_canonical_coefficients(result)
+
+    def test_dual_components_keep_canonical_coefficients(self, duals):
+        structures = [con for _, con in duals.values()]
+        panel = load_structure(str(DATA_DIR / "panel_pair_dim5.json"))
+        structures.append(dualize(panel))
+        assert len(structures) == 5
+        for con in structures:
+            assert_canonical_coefficients(con.E)
+            assert_canonical_coefficients(con.Lam)
+
+    def test_integral_values_are_ints(self):
+        p = Poly(3, {(1, 0, 0): Fraction(4), (0, 0, 0): Fraction(1, 2)})
+        assert type(p.terms[(1, 0, 0)]) is int
+        assert type(Poly.const(3, Fraction(-3)).terms[(0, 0, 0)]) is int
+        assert type(Poly.one(3).constant_value()) is Fraction
+        assert type(Poly.zero(3).constant_value()) is Fraction
+        assert type(Poly.one(3).eval_at((1, 2, 3))) is Fraction
+
+    @given(rational_polys(), rational_polys().filter(lambda p: not p.is_zero()))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_a_fraction_convolution(self, a, b):
+        product = a * b
+        assert product.terms == fraction_product(a, b)
+        assert product.exact_div(b) == a
+
+    def test_exact_div_when_the_leading_coefficient_does_not_divide(self):
+        x = Poly.variable(3, 0)
+        one = Poly.one(3)
+        two_x = x.scale(2)
+        # x^2 + x = (x/2) * (2x + 2): the first top coefficient 1 is not
+        # a multiple of the leading coefficient 2
+        quotient = (x * x + x).exact_div(two_x + one.scale(2))
+        assert quotient == x.scale(Fraction(1, 2))
+        assert quotient.terms[(1, 0, 0)] == Fraction(1, 2)
+        assert (x * x + one).exact_div(two_x) is None
+        # 3x^2 + 3x + 1/2 = (3x/2 + 3/4) * (2x + 1) + (-1/4)
+        assert (x * x.scale(3) + x.scale(3) + one.scale(Fraction(1, 2))).exact_div(
+            two_x + one
+        ) is None
+        # (3x + 1)(2x + 1) = 6x^2 + 5x + 1, with the integer path at each step
+        assert (x * x.scale(6) + x.scale(5) + one).exact_div(two_x + one) == (
+            x.scale(3) + one
+        )
+
+    @given(rational_scalars())
+    @settings(max_examples=100, deadline=None)
+    def test_negation_matches_a_rebuilt_quotient(self, s):
+        negated = -s
+        rebuilt = Scalar(-s.num, s.den)
+        assert negated.num.terms == rebuilt.num.terms
+        assert negated.den.terms == rebuilt.den.terms
 
 
 class TestScalar:
