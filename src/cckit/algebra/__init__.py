@@ -6,6 +6,7 @@ from .parser import ParseError, format_poly, format_scalar, parse_scalar
 from .poly import (
     Poly,
     TermLimitExceeded,
+    add_terms,
     common_denominator,
     grlex_key,
     refresh_term_limit,
@@ -14,6 +15,7 @@ from .scalar import (
     PoleError,
     Scalar,
     ScalarDivisionError,
+    over_common_denominator,
     sum_over_common_denominator,
 )
 
@@ -26,10 +28,12 @@ __all__ = [
     "Scalar",
     "ScalarDivisionError",
     "TermLimitExceeded",
+    "add_terms",
     "common_denominator",
     "format_poly",
     "format_scalar",
     "grlex_key",
+    "over_common_denominator",
     "parse_scalar",
     "rational_nullspace",
     "refresh_term_limit",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .poly import add_terms
 from .scalar import Scalar
 
 class LinearSolveError(ValueError):
@@ -91,18 +92,6 @@ def solve_unique(
     return solutions
 
 
-def _subtract(
-    row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]
-) -> None:
-    """row -= factor * pivot, in place, dropping the entries that cancel."""
-    for column, value in pivot.items():
-        entry = row.get(column, 0) - factor * value
-        if entry:
-            row[column] = entry
-        else:
-            del row[column]
-
-
 def rational_nullspace(
     rows: list[dict[int, Fraction]], ncols: int
 ) -> list[list[Fraction]]:
@@ -125,12 +114,12 @@ def rational_nullspace(
                 head = row[lead]
                 pivots[lead] = {column: value / head for column, value in row.items()}
                 break
-            _subtract(row, row[lead], pivot)
+            add_terms(row, pivot, -row[lead])
     # highest pivot first, so each row subtracts only rows already reduced
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for column in [c for c in row if c != lead and c in pivots]:
-            _subtract(row, row[column], pivots[column])
+            add_terms(row, pivots[column], -row[column])
     basis: list[list[Fraction]] = []
     for free in range(ncols):
         if free in pivots:

@@ -66,6 +66,31 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
+def add_terms(into: dict, terms: dict, factor: Coeff = 1) -> None:
+    """into += factor * terms, in place, dropping the entries that cancel.
+
+    Both are sparse maps from a key (an exponent, a matrix column) to a
+    nonzero coefficient.  The factor is compared with 1 once per call, so
+    the common plain sum multiplies nothing.
+    """
+    if not factor:
+        return
+    if factor == 1:
+        for key, coeff in terms.items():
+            value = into.get(key, _ZERO) + coeff
+            if value:
+                into[key] = value
+            else:
+                del into[key]
+    else:
+        for key, coeff in terms.items():
+            value = into.get(key, _ZERO) + factor * coeff
+            if value:
+                into[key] = value
+            else:
+                del into[key]
+
+
 class Poly:
     """Immutable sparse polynomial with rational coefficients.
 
@@ -170,12 +195,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         terms = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            value = terms.get(exponent, _ZERO) + coeff
-            if value:
-                terms[exponent] = value
-            else:
-                terms.pop(exponent, None)
+        add_terms(terms, other.terms)
         return Poly(self.nvars, terms)
 
     def __neg__(self) -> "Poly":

@@ -9,8 +9,9 @@ there is no full multivariate GCD.
 `Scalar.__add__` stays pairwise: unequal denominators are multiplied,
 with no divisibility test.  A sum of many terms goes through
 `sum_over_common_denominator`, which builds one quotient over a
-divisibility-built common denominator.  Putting that test into `__add__`
-itself would also change the quotients of the linear solve behind
+divisibility-built common denominator; `over_common_denominator` brings
+any list of values over that denominator.  Putting that test into
+`__add__` itself would also change the quotients of the linear solve behind
 `dualize` (on the 5-dim acc5b, one Lambda component from 44/80 to 14/32
 terms), so that belongs with the closed-form dual, not with a change to
 the sum.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, common_denominator
+from .poly import Poly, add_terms, common_denominator
 
 
 class PoleError(ZeroDivisionError):
@@ -205,38 +206,45 @@ class Scalar:
         return f"Scalar({self.num!r} / {self.den!r})"
 
 
+def over_common_denominator(
+    nvars: int, values: list[Scalar]
+) -> tuple[Poly, list[Poly]]:
+    """(den, nums) with values[i] == nums[i] / den for every i.
+
+    Values that already share one denominator keep it and their
+    numerators.  Otherwise den is `common_denominator` of the
+    denominators, and each numerator is scaled by its exact multiplier,
+    except where that multiplier is 1.
+    """
+    dens = [value.den for value in values]
+    if dens and all(den == dens[0] for den in dens[1:]):
+        return dens[0], [value.num for value in values]
+    den, multipliers = common_denominator(nvars, dens)
+    nums = [
+        value.num
+        if multiplier.is_constant() and multiplier.constant_value() == 1
+        else value.num * multiplier
+        for value, multiplier in zip(values, multipliers)
+    ]
+    return den, nums
+
+
 def sum_over_common_denominator(nvars: int, terms: list[Scalar]) -> Scalar:
     """The sum of `terms` as one quotient over their common denominator.
 
     A pairwise sum multiplies two denominators even when one divides the
     other, so p/d + q/d^2 lands over d^3 and the powers pile up term by
-    term.  Here the denominator is `common_denominator` of all the terms
-    (d^2 in that example), each numerator is scaled by its exact
-    multiplier, and the numerators are summed into one polynomial: one
-    Scalar is built per sum.  A single term comes back as it is, and terms
-    over one denominator have their numerators summed directly.
+    term.  Here the terms are brought over one denominator by
+    `over_common_denominator` (d^2 in that example) and their numerators
+    are summed into one polynomial: one Scalar is built per sum.  A single
+    term comes back as it is.
     """
     if len(terms) == 1:
         return terms[0]
     if not terms:
         return Scalar.zero(nvars)
-    den = terms[0].den
-    if all(term.den == den for term in terms):
-        nums = [term.num for term in terms]
-    else:
-        den, multipliers = common_denominator(nvars, [term.den for term in terms])
-        nums = [
-            term.num
-            if multiplier.is_constant() and multiplier.constant_value() == 1
-            else term.num * multiplier
-            for term, multiplier in zip(terms, multipliers)
-        ]
+    den, nums = over_common_denominator(nvars, terms)
     total = dict(nums[0].terms)
     for num in nums[1:]:
-        for exponent, coeff in num.terms.items():
-            value = total.get(exponent, 0) + coeff
-            if value:
-                total[exponent] = value
-            else:
-                total.pop(exponent, None)
+        add_terms(total, num.terms)
     return Scalar(Poly(nvars, total), den)

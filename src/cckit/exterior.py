@@ -46,7 +46,9 @@ from .algebra import (
     Chart,
     Poly,
     Scalar,
+    add_terms,
     common_denominator,
+    over_common_denominator,
     sum_over_common_denominator,
 )
 
@@ -316,13 +318,10 @@ def _contract(a: _Tensor, b: _Tensor) -> _Tensor:
                 continue
             sub_set = set(sub)
             rest = tuple(i for i in full if i not in sub_set)
-            # parity of the shuffle carrying (sub + rest) back to full:
-            # cross inversions between the two sorted blocks
-            inversions = 0
-            for s in sub:
-                inversions += sum(1 for r in rest if r < s)
+            # the sign of the shuffle carrying (sub + rest) back to full
+            sign, _ = _merge(sub, rest)
             term = value * coeff
-            terms.setdefault(rest, []).append(-term if inversions % 2 else term)
+            terms.setdefault(rest, []).append(term if sign > 0 else -term)
     return type(b)(b.chart, q - p, _summed(b.chart.dim, terms))
 
 
@@ -384,12 +383,10 @@ def lie_derivative_scalar(x: Multivector, f: Scalar) -> Scalar:
 _Terms = dict[tuple[int, ...], Fraction]
 
 
-def _numerators(t: Multivector, multipliers: list[Poly]) -> dict[Index, Poly]:
-    """Component numerators of t over the common denominator of `multipliers`."""
-    return {
-        index: value.num * multiplier
-        for (index, value), multiplier in zip(t.comps.items(), multipliers)
-    }
+def _numerators(t: Multivector) -> tuple[Poly, dict[Index, Poly]]:
+    """(den, numerators): the components of t over one common denominator."""
+    den, nums = over_common_denominator(t.chart.dim, list(t.comps.values()))
+    return den, dict(zip(t.comps, nums))
 
 
 def _partials(nums: dict[Index, Poly], den: Poly) -> list[dict[Index, Poly]]:
@@ -445,14 +442,11 @@ def _add_wedges(
                 if merged is None:
                     continue
                 merge_sign, key = merged
-                factor = sign * odd_sign * merge_sign
-                terms = sums.setdefault(key, {})
-                for exponent, coeff in (d_num * num).terms.items():
-                    value = terms.get(exponent, 0) + factor * coeff
-                    if value:
-                        terms[exponent] = value
-                    else:
-                        del terms[exponent]
+                add_terms(
+                    sums.setdefault(key, {}),
+                    (d_num * num).terms,
+                    sign * odd_sign * merge_sign,
+                )
 
 
 def schouten_bracket(p: Multivector, q: Multivector) -> Multivector:
@@ -466,8 +460,8 @@ def schouten_bracket(p: Multivector, q: Multivector) -> Multivector:
     (d_i P) wedge (d_xi_i Q) has a^2 b, so with m the common multiple of a
     and b every output component is one Scalar over a b m: a^3 when a = b,
     a^2 b^2 when neither divides the other, 1 on polynomial input.  The
-    denominator is built first, so one over CCKIT_MAX_TERMS fails before
-    any numerator work.
+    denominator is built before any partial or wedge, so one over
+    CCKIT_MAX_TERMS fails before the bulk of the numerator work.
     """
     if not isinstance(p, Multivector) or not isinstance(q, Multivector):
         raise KindMismatch("the bracket takes two multivector fields")
@@ -481,12 +475,10 @@ def schouten_bracket(p: Multivector, q: Multivector) -> Multivector:
         return Multivector(chart, 0)
     if p.is_zero() or q.is_zero():
         return Multivector(chart, degree)
-    a, p_multipliers = common_denominator(dim, [v.den for v in p.comps.values()])
-    b, q_multipliers = common_denominator(dim, [v.den for v in q.comps.values()])
+    a, p_nums = _numerators(p)
+    b, q_nums = _numerators(q)
     m, (m_over_a, m_over_b) = common_denominator(dim, [a, b])
     den = a * b * m
-    p_nums = _numerators(p, p_multipliers)
-    q_nums = _numerators(q, q_multipliers)
     sign = -1 if ((dp + 1) * dq) % 2 else 1
     inner = -1 if ((dp - 1) * (dq - 1)) % 2 else 1
     over_ab2: dict[Index, _Terms] = {}

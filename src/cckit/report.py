@@ -20,8 +20,6 @@ def residual_is_zero(residual: object) -> bool:
         return residual.is_zero()
     if isinstance(residual, (list, tuple)):
         return all(residual_is_zero(r) for r in residual)
-    if hasattr(residual, "is_trivial"):
-        return bool(residual.is_trivial())
     raise TypeError(f"cannot decide vanishing of {type(residual).__name__}")
 
 
@@ -89,6 +87,4 @@ def format_residual(residual: object, chart: Chart) -> str:
         return _format_tensor(residual, chart)
     if isinstance(residual, (list, tuple)):
         return "[" + "; ".join(format_residual(r, chart) for r in residual) + "]"
-    if hasattr(residual, "describe"):
-        return residual.describe(chart)
     return repr(residual)

@@ -120,6 +120,12 @@ class ContravariantPair:
     def chart(self) -> Chart:
         return self.E.chart
 
+    @cached_property
+    def sharps(self) -> list[Multivector]:
+        """The columns Lambda# dx^j, one per coordinate j, built once."""
+        chart = self.chart
+        return [sharp(self, coordinate_form(chart, j)) for j in range(chart.dim)]
+
 
 def regularity_density(pair: CovariantPair) -> Scalar:
     """Top component of omega wedge Omega^n."""
@@ -273,26 +279,12 @@ def second_pair(pair: CovariantPair) -> CovariantPair:
     return CovariantPair(pair.omega, pair.Omega + pair.d_omega)
 
 
-def sharp_columns(con: ContravariantPair) -> list[Multivector]:
-    """Lambda# dx^j for every coordinate j."""
-    chart = con.chart
-    return [sharp(con, coordinate_form(chart, j)) for j in range(chart.dim)]
-
-
-def two_form_through_sharp(
-    con: ContravariantPair,
-    two_form: DiffForm,
-    sharps: list[Multivector] | None = None,
-) -> Multivector:
-    """The bivector (j, k) -> two_form(Lambda# dx^j, Lambda# dx^k).
-
-    `sharps` are the columns of `sharp_columns(con)` when the caller keeps them.
-    """
+def two_form_through_sharp(con: ContravariantPair, two_form: DiffForm) -> Multivector:
+    """The bivector (j, k) -> two_form(Lambda# dx^j, Lambda# dx^k)."""
     if two_form.degree != 2:
         raise StructureError("expected a 2-form")
     chart = con.chart
-    if sharps is None:
-        sharps = sharp_columns(con)
+    sharps = con.sharps
     comps: dict[tuple[int, ...], Scalar] = {}
     for j in range(chart.dim):
         for k in range(j + 1, chart.dim):

@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import (
     Chart,
     Scalar,
-    common_denominator,
+    add_terms,
+    over_common_denominator,
     rational_nullspace,
     sum_over_common_denominator,
 )
@@ -61,7 +61,6 @@ from .structures import (
     lambda_pair,
     project,
     sharp,
-    sharp_columns,
     two_form_through_sharp,
 )
 
@@ -137,21 +136,16 @@ def zero_pair(chart: Chart) -> GeneratorPair:
 class _Setting:
     """The (cov, con) context: derived data shared by the symmetry computations.
 
-    tau and the Lambda# dx^j columns are built once; the first-order
-    symbols of a linear builder are built on first use and kept, so a
-    search over many targets and degrees builds each set once.
+    tau is built once; the first-order symbols of a linear builder are
+    built on first use and kept, so a search over many targets and degrees
+    builds each set once.
     """
 
     def __init__(self, cov: CovariantPair, con: ContravariantPair):
         self.cov = cov
         self.con = con
-        self.d_omega = cov.d_omega
         self.tau = lie_derivative_form(con.E, cov.omega)  # L_E omega = i_E d omega
         self._symbols: dict = {}
-
-    @cached_property
-    def sharps(self) -> list[Multivector]:
-        return sharp_columns(self.con)
 
     def symbols(self, builder) -> dict[tuple[int, ...], tuple[Poly, list[list[Poly]]]]:
         """`_first_order_symbols(self, builder)`, built on the first call."""
@@ -249,15 +243,15 @@ def _transverse_terms(
         _grad(form_on_vector(a2, a1s), s.cov.chart)  # d Lambda(alpha1, alpha2)
         - _contract(a2s, exterior_derivative(a1))
         + _contract(a1s, exterior_derivative(a2))
-        + _contract(a2s, s.d_omega).scale(a1_e)
-        - _contract(a1s, s.d_omega).scale(a2_e)
+        + _contract(a2s, s.cov.d_omega).scale(a1_e)
+        - _contract(a1s, s.cov.d_omega).scale(a2_e)
     )
     h = sum_over_common_denominator(
         s.cov.chart.dim,
         [
             lie_derivative_scalar(a1s, h2),
             -lie_derivative_scalar(a2s, h1),
-            -pairing(s.d_omega, a1s, a2s),
+            -pairing(s.cov.d_omega, a1s, a2s),
         ],
     )
     return GeneratorPair(alpha, h)
@@ -272,8 +266,8 @@ def _omega_residual(s: _Setting, g: GeneratorPair) -> DiffForm:
     """L_X omega computed in pair data: i_{alpha#} d omega + h i_E d omega + dh."""
     a_sharp = sharp(s.con, g.alpha)
     return (
-        _contract(a_sharp, s.d_omega)
-        + _contract(s.con.E, s.d_omega).scale(g.h)
+        _contract(a_sharp, s.cov.d_omega)
+        + _contract(s.con.E, s.cov.d_omega).scale(g.h)
         + _grad(g.h, s.cov.chart)
     )
 
@@ -314,8 +308,8 @@ def _reeb_vector_residual(s: _Setting, g: GeneratorPair) -> Multivector:
 def _two_sharp_residual(s: _Setting, g: GeneratorPair) -> Multivector:
     """(d alpha - alpha(E) d omega) pulled through (Lambda#, Lambda#)."""
     a_e = form_on_vector(g.alpha, s.con.E)
-    two_form = exterior_derivative(g.alpha) - s.d_omega.scale(a_e)
-    return two_form_through_sharp(s.con, two_form, s.sharps)
+    two_form = exterior_derivative(g.alpha) - s.cov.d_omega.scale(a_e)
+    return two_form_through_sharp(s.con, two_form)
 
 
 def _lambda_headline_residual(s: _Setting, g: GeneratorPair) -> Multivector:
@@ -563,9 +557,9 @@ def reduced_bracket(
             - lie_derivative_form(e_field, a1).scale(h2)
         )
         h_two = (
-            pairing(s.d_omega, a1s, a2s)
-            + h1 * pairing(s.d_omega, e_field, a2s)
-            - h2 * pairing(s.d_omega, e_field, a1s)
+            pairing(s.cov.d_omega, a1s, a2s)
+            + h1 * pairing(s.cov.d_omega, e_field, a2s)
+            - h2 * pairing(s.cov.d_omega, e_field, a1s)
         )
         if alpha_one != alpha_two or core.h != h_two:
             raise InternalIdentityError("omega_sym displays disagree")
@@ -585,12 +579,12 @@ def reduced_bracket(
 
     # full_sym: three displays of the function slot
     h_two = (
-        pairing(s.d_omega, a1s, a2s)
+        pairing(s.cov.d_omega, a1s, a2s)
         + h2 * lambda_pair(s.con, s.tau, a1)
         - h1 * lambda_pair(s.con, s.tau, a2)
     )
     h_three = (
-        pairing(s.d_omega, a1s, a2s)
+        pairing(s.cov.d_omega, a1s, a2s)
         + h1 * lie_derivative_scalar(e_field, h2)
         - h2 * lie_derivative_scalar(e_field, h1)
     )
@@ -963,16 +957,9 @@ def _first_order_symbols(
     zero = Scalar.zero(dim)
     symbols = {}
     for key in dict.fromkeys(k for comps in evaluated for k in comps):
-        scalars = [comps.get(key, zero) for comps in evaluated]
-        # zero values take no part in the common denominator
-        den, multipliers = common_denominator(
-            dim, [value.den for value in scalars if not value.is_zero()]
+        den, nums = over_common_denominator(
+            dim, [comps.get(key, zero) for comps in evaluated]
         )
-        multipliers = iter(multipliers)
-        nums = [
-            value.num if value.is_zero() else value.num * next(multipliers)
-            for value in scalars
-        ]
         per_slot_nums = []
         for slot in range(dim + 1):
             base, *scaled = nums[slot::dim + 1]
@@ -1046,9 +1033,9 @@ def _is_trivial(
     for _, per_slot in s.symbols(_vector_field).values():
         total: dict[tuple[int, ...], Fraction] = {}
         for (m, slot), coefficient in columns:
-            for term, coeff in _shifted_numerator(per_slot[slot], monomials[m]).items():
-                total[term] = total.get(term, 0) + coefficient * coeff
-        if any(total.values()):
+            shifted = _shifted_numerator(per_slot[slot], monomials[m])
+            add_terms(total, shifted, coefficient)
+        if total:
             return False
     return True
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cckit import Chart, ParseError, Poly, Scalar, dualize, format_scalar, parse_scalar
-from cckit.algebra import common_denominator, grlex_key, refresh_term_limit
+from cckit.algebra import (
+    add_terms,
+    common_denominator,
+    grlex_key,
+    over_common_denominator,
+    refresh_term_limit,
+)
 from cckit.cli.files import load_structure
 from cckit.algebra.poly import TermLimitExceeded
 from cckit.algebra.scalar import PoleError, ScalarDivisionError
@@ -261,6 +267,44 @@ class TestCoefficients:
         rebuilt = Scalar(-s.num, s.den)
         assert negated.num.terms == rebuilt.num.terms
         assert negated.den.terms == rebuilt.den.terms
+
+
+class TestSharedSteps:
+    """The one coefficient merge and the one common-denominator routine."""
+
+    @given(
+        rational_polys(),
+        rational_polys(),
+        st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]), rational_coeffs),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_add_terms_matches_sum_and_scale(self, a, b, factor):
+        plain = dict(a.terms)
+        add_terms(plain, b.terms)
+        assert plain == (a + b).terms
+        scaled = dict(a.terms)
+        add_terms(scaled, b.terms, factor)
+        assert scaled == (a + b.scale(factor)).terms
+        assert all(plain.values()) and all(scaled.values())
+
+    @given(st.lists(rational_scalars(), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_over_common_denominator(self, values):
+        den, nums = over_common_denominator(3, values)
+        assert len(nums) == len(values)
+        for num, value in zip(nums, values):
+            assert Scalar(num, den) == value
+        dens = [value.den for value in values]
+        if dens and all(d == dens[0] for d in dens):
+            assert den == dens[0]
+        else:
+            assert den == common_denominator(3, dens)[0]
+
+    def test_shared_denominator_is_kept(self):
+        values = [parse_scalar(text, CHART3) for text in ("x/(1 + y)", "-2/(1 + y)")]
+        den, nums = over_common_denominator(3, values)
+        assert den == values[0].den
+        assert nums == [value.num for value in values]
 
 
 class TestScalar:

@@ -570,9 +570,13 @@ def documents(draw):
 
 
 COMMANDS = st.one_of(
-    st.sampled_from(
-        [["classify"], ["dualize"], ["verify"], ["bracket", "-p", "{pairs}"]]
-    ),
+    st.sampled_from([
+        ["classify"],
+        ["dualize"],
+        ["verify"],
+        ["bracket", "-p", "{pairs}"],
+        ["suite", "--trials", "1", "--degree", "1"],
+    ]),
     st.sampled_from([
         ["symmetry", "-p", "{pairs}", "-t", target.value] for target in SymmetryTarget
     ]),

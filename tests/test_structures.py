@@ -34,7 +34,7 @@ from cckit import (
     verify_duality,
     wedge,
 )
-from cckit.exterior import form_on_vector
+from cckit.exterior import coordinate_form, form_on_vector, pairing
 from cckit.structures import StructureError, two_form_through_sharp
 
 from conftest import random_form
@@ -208,8 +208,6 @@ class TestMusicalMaps:
         cov, con = duals["acc3"]
         d_omega = exterior_derivative(cov.omega)
         pulled = two_form_through_sharp(con, d_omega)
-        from cckit.exterior import coordinate_form, pairing
-
         for j in range(3):
             for k in range(j + 1, 3):
                 expected = pairing(
@@ -218,6 +216,16 @@ class TestMusicalMaps:
                     sharp(con, coordinate_form(CHART3, k)),
                 )
                 assert pulled.component((j, k)) == expected
+
+    def test_sharp_columns_are_kept_on_the_dual(self, duals):
+        assert len(duals) == 4
+        for _, con in duals.values():
+            columns = con.sharps
+            chart = con.chart
+            assert len(columns) == chart.dim
+            for j, column in enumerate(columns):
+                assert column == sharp(con, coordinate_form(chart, j))
+            assert con.sharps is columns
 
 
 class TestProjections:
