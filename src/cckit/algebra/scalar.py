@@ -35,6 +35,9 @@ class ScalarDivisionError(ZeroDivisionError):
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return num, Poly.one(num.nvars)
+    if den.is_constant():
+        c = den.constant_value()
+        return (num, den) if c == 1 else (num.scale(1 / c), Poly.one(num.nvars))
     floor_n = num.exponent_floor()
     floor_d = den.exponent_floor()
     shift = tuple(min(a, b) for a, b in zip(floor_n, floor_d))

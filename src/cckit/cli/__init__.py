@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -42,6 +43,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cckit",
@@ -157,9 +159,8 @@ def _cmd_dualize(args, out: _Output) -> int:
     out.say(f"E = {format_residual(con.E, chart)}")
     out.say(f"Lambda = {format_residual(con.Lam, chart)}")
     certificate = verify_duality(cov, con)
-    out.set("density", format_scalar(certificate.density, chart))
-    report = ConditionReport("duality certificate", certificate.entries)
-    out.report(report, chart)
+    out.set("density", format_scalar(regularity_density(cov), chart))
+    out.report(certificate, chart)
     return EXIT_OK if certificate.ok else EXIT_CHECK_FAILED
 
 
@@ -168,7 +169,7 @@ def _cmd_verify(args, out: _Output) -> int:
     con = dualize(cov)
     chart = cov.chart
     certificate = verify_duality(cov, con)
-    out.report(ConditionReport("duality certificate", certificate.entries), chart)
+    out.report(certificate, chart)
     identities = verify_contravariant_identities(cov, con)
     out.report(identities, chart)
     passed = certificate.ok and identities.ok

@@ -10,6 +10,7 @@ when the structure does not support them; a skip is not a failure.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -64,43 +65,35 @@ def random_poly(rng: random.Random, nvars: int, degree: int) -> Scalar:
     return Scalar(Poly(nvars, {k: v for k, v in terms.items() if v}))
 
 
-def random_form(
-    rng: random.Random, chart: Chart, degree: int, poly_degree: int
-) -> DiffForm:
+def random_tensor(
+    cls: type, rng: random.Random, chart: Chart, degree: int, poly_degree: int
+) -> DiffForm | Multivector:
+    """A random DiffForm or Multivector (cls), about 80 % of its components set."""
     comps = {
         key: random_poly(rng, chart.dim, poly_degree)
         for key in combinations(range(chart.dim), degree)
         if rng.random() < 0.8
     }
-    return DiffForm(chart, degree, comps)
-
-
-def random_multivector(
-    rng: random.Random, chart: Chart, degree: int, poly_degree: int
-) -> Multivector:
-    comps = {
-        key: random_poly(rng, chart.dim, poly_degree)
-        for key in combinations(range(chart.dim), degree)
-        if rng.random() < 0.8
-    }
-    return Multivector(chart, degree, comps)
+    return cls(chart, degree, comps)
 
 
 def random_pair(rng: random.Random, chart: Chart, poly_degree: int) -> GeneratorPair:
     return GeneratorPair(
-        random_form(rng, chart, 1, poly_degree),
+        random_tensor(DiffForm, rng, chart, 1, poly_degree),
         random_poly(rng, chart.dim, poly_degree),
     )
 
 
-def _jacobi_section(
-    rng: random.Random, chart: Chart, trials: int, degree: int
-) -> ConditionReport:
-    entries = []
+# Each section yields its entries from (rng, cov, con, trials, degree); con is
+# None for the sections that do not need the dual pair.
+
+
+def _jacobi(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
+    chart = cov.chart
     for trial in range(trials):
         degrees = [rng.randint(1, 2) for _ in range(3)]
         p, q, r = (
-            random_multivector(rng, chart, d, degree) for d in degrees
+            random_tensor(Multivector, rng, chart, d, degree) for d in degrees
         )
         dp, dq, dr = degrees
         total = (
@@ -114,39 +107,25 @@ def _jacobi_section(
                 Scalar.const(chart.dim, (-1) ** (dr * (dq - 1)))
             )
         )
-        entries.append(
-            CheckEntry.of(f"trial {trial}: graded Jacobi cyclic sum", total)
-        )
-    return ConditionReport("graded Jacobi identity for the Schouten bracket",
-                           tuple(entries))
+        yield CheckEntry.of(f"trial {trial}: graded Jacobi cyclic sum", total)
 
 
-def _defining_identity_section(
-    rng: random.Random, chart: Chart, trials: int, degree: int
-) -> ConditionReport:
-    entries = []
+def _insertion(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
+    chart = cov.chart
     for trial in range(trials):
         dp = rng.randint(1, 2)
         dq = rng.randint(1, 2)
-        p = random_multivector(rng, chart, dp, degree)
-        q = random_multivector(rng, chart, dq, degree)
-        beta = random_form(rng, chart, dp + dq - 1, degree)
-        entries.append(
-            CheckEntry.of(
-                f"trial {trial}: insertion identity against a random "
-                f"{dp + dq - 1}-form",
-                schouten_identity_residual(p, q, beta),
-            )
+        p = random_tensor(Multivector, rng, chart, dp, degree)
+        q = random_tensor(Multivector, rng, chart, dq, degree)
+        beta = random_tensor(DiffForm, rng, chart, dp + dq - 1, degree)
+        yield CheckEntry.of(
+            f"trial {trial}: insertion identity against a random "
+            f"{dp + dq - 1}-form",
+            schouten_identity_residual(p, q, beta),
         )
-    return ConditionReport(
-        "defining insertion identity of the Schouten bracket", tuple(entries)
-    )
 
 
-def _compatibility_section(
-    rng, cov, con, trials: int, degree: int
-) -> ConditionReport:
-    entries = []
+def _compatibility(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
     for trial in range(trials):
         g1 = random_pair(rng, cov.chart, degree)
         g2 = random_pair(rng, cov.chart, degree)
@@ -154,140 +133,101 @@ def _compatibility_section(
         residual = pair_to_vector(cov, con, out) - schouten_bracket(
             pair_to_vector(cov, con, g1), pair_to_vector(cov, con, g2)
         )
-        entries.append(
-            CheckEntry.of(
-                f"trial {trial}: bracket-commutator compatibility", residual
-            )
+        yield CheckEntry.of(
+            f"trial {trial}: bracket-commutator compatibility", residual
         )
-    return ConditionReport(
-        "pair bracket mirrors the vector field commutator", tuple(entries)
-    )
 
 
-def _equivalence_section(
-    rng, cov, con, trials: int, degree: int
-) -> ConditionReport:
-    entries = []
+def _equivalence(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
     targets = tuple(SymmetryTarget)
     for trial in range(trials):
         g = random_pair(rng, cov.chart, degree)
         x = pair_to_vector(cov, con, g)
         eq = theorem_equivalence_check(cov, con, g)
-        entries.append(
-            CheckEntry.verdict(
-                f"trial {trial}: three-way full-symmetry verdicts agree "
-                f"({'/'.join('pass' if v else 'fail' for v in eq.verdicts)})",
-                eq.agree,
-            )
+        yield CheckEntry.verdict(
+            f"trial {trial}: three-way full-symmetry verdicts agree "
+            f"({'/'.join('pass' if v else 'fail' for v in eq.verdicts)})",
+            eq.agree,
         )
         target = targets[trial % len(targets)]
         conditions = check_generator_conditions(cov, con, g, target)
         direct = check_symmetry_direct(cov, con, x, target)
-        entries.append(
-            CheckEntry.verdict(
-                f"trial {trial}: target {target.value} condition verdict "
-                f"matches the direct Lie-derivative verdict",
-                conditions.ok == direct.ok,
-            )
+        yield CheckEntry.verdict(
+            f"trial {trial}: target {target.value} condition verdict "
+            f"matches the direct Lie-derivative verdict",
+            conditions.ok == direct.ok,
         )
-    return ConditionReport(
-        "generator conditions are equivalent to direct transport checks",
-        tuple(entries),
-    )
 
 
-def _leibniz_section(rng, cov, con, trials: int, degree: int) -> ConditionReport:
-    entries = []
+def _leibniz(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
     for trial in range(trials):
         g1 = random_pair(rng, cov.chart, degree)
         g2 = random_pair(rng, cov.chart, degree)
         f = random_poly(rng, cov.chart.dim, degree)
-        report = leibniz_rule_report(cov, con, g1, g2, f)
-        entries.append(
-            CheckEntry.verdict(
-                f"trial {trial}: anchored Leibniz defect is trivial",
-                report.ok,
-                [entry.residual for entry in report.failures()],
-            )
+        yield leibniz_rule_report(cov, con, g1, g2, f).summary(
+            f"trial {trial}: anchored Leibniz defect is trivial"
         )
-    return ConditionReport(
-        "anchored Leibniz rule for the pair bracket", tuple(entries)
-    )
 
 
-def _averaged_section(cov, con, search_degree: int) -> ConditionReport:
+def _averaged(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
+    search_degree = min(degree, 2) if cov.chart.dim <= 3 else 1
     generators = find_generator_pairs(
         cov, con, SymmetryTarget.cov_pair, search_degree
     )
-    entries = [
-        CheckEntry.verdict(
-            f"polynomial generator search (coefficient degree <= "
-            f"{search_degree}) found {len(generators)} generators",
+    yield CheckEntry.verdict(
+        f"polynomial generator search (coefficient degree <= "
+        f"{search_degree}) found {len(generators)} generators",
+        True,
+    )
+    if len(generators) < 2:
+        yield CheckEntry.verdict(
+            "fewer than two generators found; averaged-transport "
+            "identity is vacuous here",
             True,
         )
-    ]
-    if len(generators) < 2:
-        entries.append(
-            CheckEntry.verdict(
-                "fewer than two generators found; averaged-transport "
-                "identity is vacuous here",
-                True,
-            )
-        )
-        return ConditionReport(
-            "averaged-transport form of the bracket on found generators",
-            tuple(entries),
-        )
+        return
     for i, j in combinations(range(min(len(generators), 4)), 2):
         report = antisymmetrization_identity(
             cov, con, generators[i], generators[j]
         )
-        entries.append(
-            CheckEntry.verdict(
-                f"generators {i} and {j}: bracket equals the averaged "
-                f"transport",
-                report.ok,
-                [entry.residual for entry in report.failures()],
-            )
+        yield report.summary(
+            f"generators {i} and {j}: bracket equals the averaged transport"
         )
-    return ConditionReport(
-        "averaged-transport form of the bracket on found generators",
-        tuple(entries),
-    )
+
+
+# (title, needs the dual pair, entries), run in this order from one generator.
+_SECTIONS = (
+    ("graded Jacobi identity for the Schouten bracket", False, _jacobi),
+    ("defining insertion identity of the Schouten bracket", False, _insertion),
+    ("pair bracket mirrors the vector field commutator", True, _compatibility),
+    (
+        "generator conditions are equivalent to direct transport checks",
+        True,
+        _equivalence,
+    ),
+    ("anchored Leibniz rule for the pair bracket", True, _leibniz),
+    ("averaged-transport form of the bracket on found generators", True, _averaged),
+)
 
 
 def run_suite(
     cov: CovariantPair, trials: int, degree: int, seed: int
 ) -> SuiteResult:
     rng = random.Random(seed)
-    chart = cov.chart
     result = SuiteResult()
-    result.sections.append(_jacobi_section(rng, chart, trials, degree))
-    result.sections.append(
-        _defining_identity_section(rng, chart, trials, degree)
-    )
-
-    kind = classify(cov)
-    if not is_almost_cosymplectic_contact(cov):
-        reason = (
-            f"structure classifies as {kind.value}; the pair bracket and "
-            "symmetry calculus need a regular pair with d Omega = 0"
+    con = None
+    for title, needs_dual, entries in _SECTIONS:
+        if needs_dual and not is_almost_cosymplectic_contact(cov):
+            result.skipped.append((
+                title,
+                f"structure classifies as {classify(cov).value}; the pair "
+                "bracket and symmetry calculus need a regular pair with "
+                "d Omega = 0",
+            ))
+            continue
+        if needs_dual and con is None:
+            con = dualize(cov)
+        result.sections.append(
+            ConditionReport(title, tuple(entries(rng, cov, con, trials, degree)))
         )
-        for title in (
-            "pair bracket mirrors the vector field commutator",
-            "generator conditions are equivalent to direct transport checks",
-            "anchored Leibniz rule for the pair bracket",
-            "averaged-transport form of the bracket on found generators",
-        ):
-            result.skipped.append((title, reason))
-        return result
-
-    con = dualize(cov)
-    result.sections.append(
-        _compatibility_section(rng, cov, con, trials, degree)
-    )
-    result.sections.append(_equivalence_section(rng, cov, con, trials, degree))
-    result.sections.append(_leibniz_section(rng, cov, con, trials, degree))
-    search_degree = min(degree, 2) if chart.dim <= 3 else 1
-    result.sections.append(_averaged_section(cov, con, search_degree))
     return result

@@ -105,21 +105,6 @@ def _summed(nvars: int, terms: dict[Index, list[Scalar]]) -> dict[Index, Scalar]
     }
 
 
-def sort_index(index: tuple[int, ...]) -> tuple[int, Index] | None:
-    """Sort an index tuple, tracking the permutation sign; None on repeats."""
-    sign = 1
-    items = list(index)
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return None
-    return sign, tuple(items)
-
-
 class _Tensor:
     """Shared storage for antisymmetric covariant/contravariant tensors."""
 
@@ -153,10 +138,13 @@ class _Tensor:
 
     def component(self, index: tuple[int, ...]) -> Scalar:
         """Signed component for an arbitrary (not necessarily sorted) index."""
-        sorted_index = sort_index(tuple(index))
-        if sorted_index is None:
-            return Scalar.zero(self.chart.dim)
-        sign, key = sorted_index
+        sign, key = 1, ()
+        for i in index:
+            merged = _merge(key, (i,))
+            if merged is None:
+                return Scalar.zero(self.chart.dim)
+            step, key = merged
+            sign *= step
         value = self.comps.get(key)
         if value is None:
             return Scalar.zero(self.chart.dim)

@@ -56,6 +56,12 @@ class ConditionReport:
                 return candidate
         raise KeyError(label)
 
+    def summary(self, label: str) -> CheckEntry:
+        """One entry standing for the whole report, with its failing residuals."""
+        return CheckEntry.verdict(
+            label, self.ok, [entry.residual for entry in self.failures()]
+        )
+
 
 def _format_tensor(tensor: _Tensor, chart: Chart) -> str:
     if tensor.is_zero():

@@ -27,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 from .algebra import (
     Chart,
     Scalar,
     add_terms,
+    grlex_key,
     over_common_denominator,
     rational_nullspace,
     sum_over_common_denominator,
@@ -639,13 +641,6 @@ def _slot_entries(
     )
 
 
-def _verdict(label: str, report: ConditionReport) -> CheckEntry:
-    """One entry standing for a whole precondition report."""
-    return CheckEntry.verdict(
-        label, report.ok, [entry.residual for entry in report.failures()]
-    )
-
-
 def leibniz_defect(
     cov: CovariantPair,
     con: ContravariantPair,
@@ -790,23 +785,21 @@ def derivation_check_LX(
     """
     full = SymmetryTarget.cov_pair
     entries = [
-        _verdict(
-            "X preserves omega and Omega", check_symmetry_direct(cov, con, x, full)
+        check_symmetry_direct(cov, con, x, full).summary(
+            "X preserves omega and Omega"
         )
     ]
     for role, g in (("first", g1), ("second", g2)):
         entries.append(
-            _verdict(
-                f"{role} pair generates a full symmetry",
-                check_generator_conditions(cov, con, g, full),
+            check_generator_conditions(cov, con, g, full).summary(
+                f"{role} pair generates a full symmetry"
             )
         )
     for role, g in (("first", g1), ("second", g2)):
         transported = lie_derivative_pair(cov, con, x, g)
         entries.append(
-            _verdict(
-                f"transported {role} pair stays a full symmetry",
-                check_generator_conditions(cov, con, transported, full),
+            check_generator_conditions(cov, con, transported, full).summary(
+                f"transported {role} pair stays a full symmetry"
             )
         )
     lhs = lie_derivative_pair(cov, con, x, pair_bracket(cov, con, g1, g2))
@@ -903,17 +896,8 @@ def musical_commutation_iff_report(
 
 
 def _monomials_up_to(chart: Chart, max_degree: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], max_degree, chart.dim)
-    return sorted(out, key=lambda e: (sum(e), e))
+    exponents = product(range(max_degree + 1), repeat=chart.dim)
+    return sorted((e for e in exponents if sum(e) <= max_degree), key=grlex_key)
 
 
 def _unit_slots(chart: Chart, coeff: Scalar) -> list[GeneratorPair]:

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cckit.algebra import refresh_term_limit
+from cckit.algebra import Scalar, refresh_term_limit
 from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
+from cckit.report import CheckEntry, ConditionReport
 from cckit.structures import CovariantPair
 from cckit.symmetries import SymmetryTarget
 
@@ -286,6 +287,19 @@ class TestSuite:
         for item in doc["skipped"]:
             assert "reason" in item and item["reason"]
 
+    def test_skipped_titles_are_the_dual_sections(self, capsys):
+        argv = ["--seed", "1", "--trials", "1", "--degree", "1", "--json"]
+        assert run(["suite", "-s", fixture("singular3"), *argv]) == EXIT_OK
+        singular = json.loads(capsys.readouterr().out)
+        assert run(["suite", "-s", fixture("acc3"), *argv]) == EXIT_OK
+        acc = json.loads(capsys.readouterr().out)
+        skipped = [item["title"] for item in singular["skipped"]]
+        reported = [report["title"] for report in acc["reports"]]
+        assert skipped
+        assert skipped == reported[2:]
+        assert [report["title"] for report in singular["reports"]] == reported[:2]
+        assert acc["skipped"] == []
+
     def test_bad_knobs_are_input_errors(self, capsys):
         assert (
             run(["suite", "-s", fixture("acc3"), "--trials", "0"])
@@ -296,6 +310,29 @@ class TestSuite:
             run(["suite", "-s", fixture("acc3"), "--degree", "-1"])
             == EXIT_INPUT_ERROR
         )
+
+
+class TestReportSummary:
+    def test_carries_exactly_the_failing_residuals(self):
+        zero, two, x = Scalar.zero(3), Scalar.const(3, 2), Scalar.variable(3, 0)
+        report = ConditionReport("t", (
+            CheckEntry.of("zero", zero),
+            CheckEntry.of("two", two),
+            CheckEntry.of("zero again", zero),
+            CheckEntry.of("x", x),
+        ))
+        summary = report.summary("one line")
+        assert summary.label == "one line"
+        assert not summary.ok
+        assert len(summary.residual) == 2
+        assert summary.residual[0] is two and summary.residual[1] is x
+
+    def test_passing_report_has_no_residuals(self):
+        zero = Scalar.zero(3)
+        report = ConditionReport("t", (CheckEntry.of("zero", zero),))
+        summary = report.summary("one line")
+        assert summary.ok
+        assert summary.residual == []
 
 
 class TestInputErrors:

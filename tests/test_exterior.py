@@ -516,3 +516,36 @@ class TestOneQuotientPerComponent:
         assert sorted(out.alpha.comps) == [(0,), (1,), (2,)]
         assert all(value.den == square for value in out.alpha.comps.values())
         assert out.h.den == square
+
+
+class TestSignedComponent:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inversion_parity_or_zero_on_a_repeat(self, data):
+        chart = Chart(("a", "b", "c", "d", "e"))
+        kind = data.draw(st.sampled_from([DiffForm, Multivector]))
+        degree = data.draw(st.integers(0, chart.dim))
+        comps = {
+            key: Scalar.const(chart.dim, data.draw(st.integers(1, 9)))
+            for key in combinations(range(chart.dim), degree)
+            if data.draw(st.booleans())
+        }
+        tensor = kind(chart, degree, comps)
+        index = tuple(
+            data.draw(
+                st.lists(
+                    st.integers(0, chart.dim - 1),
+                    min_size=degree,
+                    max_size=degree,
+                    unique=data.draw(st.booleans()),
+                )
+            )
+        )
+        zero = Scalar.zero(chart.dim)
+        if len(set(index)) < degree:
+            expected = zero
+        else:
+            inversions = sum(1 for a, b in combinations(index, 2) if a > b)
+            stored = comps.get(tuple(sorted(index)), zero)
+            expected = -stored if inversions % 2 else stored
+        assert tensor.component(index) == expected
