@@ -94,15 +94,16 @@ def solve_unique(
 
 def rational_nullspace(
     rows: list[dict[int, Fraction]], ncols: int
-) -> list[list[Fraction]]:
+) -> list[dict[int, Fraction]]:
     """Basis of the nullspace of a sparse Q-matrix, via its reduced row echelon form.
 
     Each row maps a column to its nonzero entry.  A row is reduced against
     the pivot rows found so far, lowest pivot column first; what is left
     becomes a new pivot row, so zero and dependent rows drop out.  Back
     substitution then gives the reduced row echelon form, which is unique:
-    the basis holds one dense vector per free column, in ascending order,
-    with a 1 in that column.
+    the basis holds one vector per free column, in ascending order, with a
+    1 in that column.  Vectors are sparse like the rows, with their
+    columns in ascending order.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for given in rows:
@@ -120,14 +121,11 @@ def rational_nullspace(
         row = pivots[lead]
         for column in [c for c in row if c != lead and c in pivots]:
             add_terms(row, pivots[column], -row[column])
-    basis: list[list[Fraction]] = []
+    basis: list[dict[int, Fraction]] = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vector = [Fraction(0)] * ncols
+        vector = {lead: -row[free] for lead, row in pivots.items() if free in row}
         vector[free] = Fraction(1)
-        for lead, row in pivots.items():
-            if free in row:
-                vector[lead] = -row[free]
-        basis.append(vector)
+        basis.append(dict(sorted(vector.items())))
     return basis

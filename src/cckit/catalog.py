@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import Chart, parse_scalar
 from .exterior import DiffForm
-from .structures import CovariantPair, StructureClass, classify
+from .structures import CovariantPair, StructureClass
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,3 @@ def get_example(name: str) -> CatalogEntry:
     except KeyError:
         known = ", ".join(_CATALOG)
         raise KeyError(f"unknown example {name!r}; catalog holds: {known}") from None
-
-
-def _selfcheck() -> None:
-    for entry in _CATALOG.values():
-        if classify(entry.cov) is not entry.expected_class:
-            raise AssertionError(f"catalog entry {entry.name} misclassified")
-
-
-_selfcheck()

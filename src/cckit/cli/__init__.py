@@ -14,6 +14,7 @@ import sys
 from typing import Any
 
 from ..algebra import TermLimitExceeded, format_scalar, refresh_term_limit
+from ..algebra.parser import MAX_EXPONENT
 from ..exterior import schouten_bracket
 from ..report import CheckEntry, ConditionReport, format_residual, residual_is_zero
 from ..structures import (
@@ -54,8 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, pairs: bool = False) -> argparse.ArgumentParser:
+    def add(
+        name: str, help_text: str, handler, pairs: bool = False
+    ) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument(
             "-s", "--structure", required=True, metavar="FILE",
             help="structure file (JSON)",
@@ -71,19 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return cmd
 
-    add("classify", "classification and regularity density")
-    add("dualize", "solve for the dual pair (E, Lambda) and certify it")
-    add("verify", "duality certificate plus the bracket identities of the dual")
+    add("classify", "classification and regularity density", _cmd_classify)
+    add("dualize", "solve for the dual pair (E, Lambda) and certify it",
+        _cmd_dualize)
+    add("verify", "duality certificate plus the bracket identities of the dual",
+        _cmd_verify)
     add("bracket", "bracket of two generator pairs plus compatibility check",
-        pairs=True)
+        _cmd_bracket, pairs=True)
     symmetry = add("symmetry", "certify a pair as a symmetry generator",
-                   pairs=True)
+                   _cmd_symmetry, pairs=True)
     symmetry.add_argument(
         "-t", "--target", required=True,
         choices=[target.value for target in SymmetryTarget],
         help="symmetry target",
     )
-    suite = add("suite", "randomized exact identity suite")
+    suite = add("suite", "randomized exact identity suite", _cmd_suite)
     suite.add_argument("--trials", type=int, default=5,
                        help="trials per section (default 5)")
     suite.add_argument("--degree", type=int, default=2,
@@ -139,8 +145,7 @@ class _Output:
         return exit_code
 
 
-def _cmd_classify(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_classify(args, cov: CovariantPair, out: _Output) -> int:
     kind = classify(cov)
     density = regularity_density(cov)
     out.set("class", kind.value)
@@ -150,8 +155,7 @@ def _cmd_classify(args, out: _Output) -> int:
     return EXIT_OK
 
 
-def _cmd_dualize(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_dualize(args, cov: CovariantPair, out: _Output) -> int:
     con = dualize(cov)
     chart = cov.chart
     out.set("E", tensor_spec(con.E))
@@ -164,8 +168,7 @@ def _cmd_dualize(args, out: _Output) -> int:
     return EXIT_OK if certificate.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_verify(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_verify(args, cov: CovariantPair, out: _Output) -> int:
     con = dualize(cov)
     chart = cov.chart
     certificate = verify_duality(cov, con)
@@ -176,8 +179,7 @@ def _cmd_verify(args, out: _Output) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _cmd_bracket(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_bracket(args, cov: CovariantPair, out: _Output) -> int:
     pairs = load_pairs(args.pairs, cov.chart)
     if len(pairs) != 2:
         raise InputError(
@@ -201,8 +203,7 @@ def _cmd_bracket(args, out: _Output) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_symmetry(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_symmetry(args, cov: CovariantPair, out: _Output) -> int:
     pairs = load_pairs(args.pairs, cov.chart)
     con = dualize(cov)
     chart = cov.chart
@@ -239,13 +240,16 @@ def _cmd_symmetry(args, out: _Output) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _cmd_suite(args, out: _Output) -> int:
-    cov = load_structure(args.structure)
+def _cmd_suite(args, cov: CovariantPair, out: _Output) -> int:
     chart = cov.chart
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
     if args.degree < 0:
         raise InputError("--degree must be non-negative")
+    # the random exponent draw takes O(degree) steps per term, which no
+    # term cap bounds; an input may ask for no larger power than this
+    if args.degree > MAX_EXPONENT:
+        raise InputError(f"--degree must be at most {MAX_EXPONENT}")
     result = run_suite(cov, args.trials, args.degree, args.seed)
     out.set("seed", args.seed)
     out.set("trials", args.trials)
@@ -260,16 +264,6 @@ def _cmd_suite(args, out: _Output) -> int:
     return EXIT_OK if result.ok else EXIT_CHECK_FAILED
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "dualize": _cmd_dualize,
-    "verify": _cmd_verify,
-    "bracket": _cmd_bracket,
-    "symmetry": _cmd_symmetry,
-    "suite": _cmd_suite,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,7 +275,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"environment: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        code = _COMMANDS[args.command](args, out)
+        code = args.handler(args, load_structure(args.structure), out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -343,12 +343,6 @@ def pairing(beta: DiffForm, *vectors: Multivector) -> Scalar:
     return _contract(block, beta).scalar()
 
 
-def form_on_vector(beta: DiffForm, vector: Multivector) -> Scalar:
-    if beta.degree != 1 or vector.degree != 1:
-        raise DegreeError("form_on_vector pairs a 1-form with a vector field")
-    return _contract(vector, beta).scalar()
-
-
 def lie_derivative_form(x: Multivector, beta: DiffForm) -> DiffForm:
     """Cartan formula: L_X beta = i_X d beta + d i_X beta."""
     if x.degree != 1:

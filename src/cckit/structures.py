@@ -29,7 +29,6 @@ from .exterior import (
     coordinate_form,
     coordinate_vector,
     exterior_derivative,
-    form_on_vector,
     lie_derivative_form,
     pairing,
     schouten_bracket,
@@ -220,7 +219,7 @@ def flat(cov: CovariantPair, x: Multivector) -> DiffForm:
 
 def lambda_pair(con: ContravariantPair, a: DiffForm, b: DiffForm) -> Scalar:
     """Lambda(a, b) = b(Lambda# a)."""
-    return form_on_vector(b, sharp(con, a))
+    return pairing(b, sharp(con, a))
 
 
 def project(
@@ -237,13 +236,13 @@ def project(
     if which in ("p1", "p2"):
         if not isinstance(tensor, Multivector) or tensor.degree != 1:
             raise StructureError(f"projection {which} applies to vector fields")
-        weight = form_on_vector(cov.omega, tensor)
+        weight = pairing(cov.omega, tensor)
         reeb_part = con.E.scale(weight)
         return reeb_part if which == "p2" else tensor - reeb_part
     if which in ("q1", "q2"):
         if not isinstance(tensor, DiffForm) or tensor.degree != 1:
             raise StructureError(f"projection {which} applies to 1-forms")
-        weight = form_on_vector(tensor, con.E)
+        weight = pairing(tensor, con.E)
         omega_part = cov.omega.scale(weight)
         return omega_part if which == "q2" else tensor - omega_part
     raise StructureError(f"unknown projection {which!r}")
@@ -258,7 +257,7 @@ def decompose_vector(
     """
     if x.degree != 1:
         raise StructureError("decomposition applies to vector fields")
-    h = form_on_vector(cov.omega, x)
+    h = pairing(cov.omega, x)
     alpha = flat(cov, project(cov, con, x, "p1"))
     return alpha, h
 
@@ -269,7 +268,7 @@ def decompose_form(
     """beta = Omega_flat(Y) + f omega with Y = Lambda#(beta), f = beta(E)."""
     if beta.degree != 1:
         raise StructureError("decomposition applies to 1-forms")
-    f = form_on_vector(beta, con.E)
+    f = pairing(beta, con.E)
     y = sharp(con, beta)
     return y, f
 

@@ -57,7 +57,7 @@ from cckit import (
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_OK, run
 from cckit.exterior import (
     coordinate_vector,
-    form_on_vector,
+    pairing,
     scalar_form,
     schouten_identity_residual,
     zero_form,
@@ -241,8 +241,8 @@ def _flipped_sign_alpha(cov, con, g1, g2):
     # variant bracket with the two d omega coupling terms negated
     d_omega = exterior_derivative(cov.omega)
     result = pair_bracket(cov, con, g1, g2)
-    a1_e = form_on_vector(g1.alpha, con.E)
-    a2_e = form_on_vector(g2.alpha, con.E)
+    a1_e = pairing(g1.alpha, con.E)
+    a2_e = pairing(g2.alpha, con.E)
     twist = interior_product(sharp(con, g2.alpha), d_omega).scale(a1_e) - \
         interior_product(sharp(con, g1.alpha), d_omega).scale(a2_e)
     return GeneratorPair(result.alpha - twist.scale(Scalar.const(cov.chart.dim, 2)),

@@ -310,6 +310,17 @@ class TestSuite:
             run(["suite", "-s", fixture("acc3"), "--degree", "-1"])
             == EXIT_INPUT_ERROR
         )
+        capsys.readouterr()
+        degree = str(MAX_EXPONENT + 1)
+        assert (
+            run(["suite", "-s", fixture("acc3"), "--degree", degree])
+            == EXIT_INPUT_ERROR
+        )
+        assert "input error" in capsys.readouterr().err
+
+    def test_largest_degree_runs(self, capsys):
+        argv = ["--trials", "1", "--degree", str(MAX_EXPONENT)]
+        assert run(["suite", "-s", fixture("acc3"), *argv]) == EXIT_OK
 
 
 class TestReportSummary:

@@ -134,10 +134,15 @@ def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fractio
     return basis
 
 
-def dense_oracle(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """dense_nullspace behind the sparse-row signature of rational_nullspace."""
+def dense_oracle(
+    rows: list[dict[int, Fraction]], ncols: int
+) -> list[dict[int, Fraction]]:
+    """dense_nullspace behind the sparse signature of rational_nullspace."""
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
-    return dense_nullspace(dense, ncols)
+    return [
+        {c: v for c, v in enumerate(vector) if v}
+        for vector in dense_nullspace(dense, ncols)
+    ]
 
 
 @st.composite
@@ -168,7 +173,7 @@ class TestRationalNullspace:
         basis = rational_nullspace([{0: Fraction(1), 1: Fraction(1)}], 3)
         assert len(basis) == 2
         for vec in basis:
-            assert vec[0] + vec[1] == 0
+            assert vec.get(0, 0) + vec.get(1, 0) == 0
 
     def test_full_rank_matrix_has_trivial_nullspace(self):
         rows = [
@@ -179,7 +184,7 @@ class TestRationalNullspace:
 
     def test_no_rows_gives_standard_basis(self):
         basis = rational_nullspace([], 2)
-        assert basis == [[1, 0], [0, 1]]
+        assert basis == [{0: 1}, {1: 1}]
 
     def test_members_annihilated(self):
         rows = [
@@ -190,7 +195,7 @@ class TestRationalNullspace:
         assert len(basis) == 2
         for vec in basis:
             for row in rows:
-                assert sum(v * vec[c] for c, v in row.items()) == 0
+                assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
 
     @given(sparse_matrices())
     @settings(max_examples=100, deadline=None)
@@ -199,7 +204,8 @@ class TestRationalNullspace:
         basis = rational_nullspace(rows, ncols)
         assert basis == dense_oracle(rows, ncols)
         for vec in basis:
-            assert all(isinstance(v, Fraction) for v in vec)
+            assert list(vec) == sorted(vec)
+            assert all(isinstance(v, Fraction) and v for v in vec.values())
 
     def test_rows_are_left_unchanged(self):
         rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 2: Fraction(1)}]

@@ -354,6 +354,22 @@ class TestEquivalenceTheorem:
         assert bad.verdicts == (False, False, False)
         assert bad.agree
 
+    def test_direct_report_is_both_pair_targets_in_turn(self, duals):
+        rng = random.Random(89)
+        for name in ("acc3", "contact5"):
+            cov, con = duals[name]
+            for _ in range(3):
+                g = random_pair(rng, cov.chart)
+                x = pair_to_vector(cov, con, g)
+                expected = tuple(
+                    entry
+                    for target in (SymmetryTarget.cov_pair, SymmetryTarget.contra_pair)
+                    for entry in check_symmetry_direct(cov, con, x, target).entries
+                )
+                direct = theorem_equivalence_check(cov, con, g).direct
+                assert [e.label for e in direct.entries] == [e.label for e in expected]
+                assert direct.entries == expected
+
 
 class TestReducedBrackets:
     def test_all_modes_match_pair_bracket_on_full_generators(self, duals):
@@ -627,7 +643,8 @@ def in_q_span(vectors: list[Multivector], target: Multivector) -> bool:
                 [(c, v.comps[key]) for c, v in enumerate(columns) if key in v.comps],
             )
         )
-    return any(vec[-1] for vec in rational_nullspace(rows, len(columns)))
+    last = len(columns) - 1
+    return any(last in vec for vec in rational_nullspace(rows, len(columns)))
 
 
 def per_monomial_rows(s, target, monomials) -> list[dict[int, Fraction]]:
