@@ -19,7 +19,6 @@ from ..exterior import schouten_bracket
 from ..report import CheckEntry, ConditionReport, format_residual, residual_is_zero
 from ..structures import (
     CovariantPair,
-    DualityError,
     NotRegular,
     StructureError,
     classify,
@@ -229,10 +228,7 @@ def _cmd_symmetry(args, cov: CovariantPair, out: _Output) -> int:
             eq = theorem_equivalence_check(cov, con, g)
             three_way = ConditionReport(
                 f"pair {index}: covariant / contravariant / direct verdicts",
-                (CheckEntry.verdict(
-                    "three certification routes agree "
-                    f"({'/'.join('pass' if v else 'fail' for v in eq.verdicts)})",
-                    eq.agree),),
+                (eq.summary("three certification routes agree"),),
             )
             out.report(three_way, chart)
             verdicts.append(eq.agree)
@@ -289,7 +285,7 @@ def run(argv: list[str] | None = None) -> int:
     except NotRegular as exc:
         print(f"regularity check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (DualityError, StructureError) as exc:
+    except StructureError as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return out.finish(code)

@@ -40,6 +40,9 @@ def _load_json(path: str) -> Any:
         raise _fail(path, f"cannot read file ({exc.strerror or exc})") from None
     except json.JSONDecodeError as exc:
         raise _fail(path, f"invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer over the digit limit, or nested too deep
+        raise _fail(path, f"invalid JSON ({exc})") from None
 
 
 def _parse_component(path: str, chart: Chart, text: Any, where: str) -> Scalar:

@@ -144,11 +144,7 @@ def _equivalence(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry
         g = random_pair(rng, cov.chart, degree)
         x = pair_to_vector(cov, con, g)
         eq = theorem_equivalence_check(cov, con, g)
-        yield CheckEntry.verdict(
-            f"trial {trial}: three-way full-symmetry verdicts agree "
-            f"({'/'.join('pass' if v else 'fail' for v in eq.verdicts)})",
-            eq.agree,
-        )
+        yield eq.summary(f"trial {trial}: three-way full-symmetry verdicts agree")
         target = targets[trial % len(targets)]
         conditions = check_generator_conditions(cov, con, g, target)
         direct = check_symmetry_direct(cov, con, x, target)

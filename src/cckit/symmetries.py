@@ -349,18 +349,36 @@ _CONDITIONS = {
     ),
 }
 
-# target -> the conditions that cut it out, in report order
-_CONDITION_BUILDERS = {
-    SymmetryTarget.omega: ("one_form", "reeb_scalar", "image"),
-    SymmetryTarget.Omega: ("closed_kernel",),
-    SymmetryTarget.E: ("reeb_vector", "reeb_scalar"),
-    SymmetryTarget.Lambda: ("lambda_headline", "image", "two_sharp"),
-    SymmetryTarget.cov_pair: ("closed_kernel", "reeb_scalar", "image"),
-    SymmetryTarget.contra_pair: ("reeb_vector", "reeb_scalar", "image", "two_sharp"),
-    SymmetryTarget.E_Omega: ("closed_kernel", "reeb_scalar"),
-    SymmetryTarget.Lambda_Omega: ("closed_kernel", "image"),
-    SymmetryTarget.E_omega: ("reeb_vector", "reeb_scalar", "image"),
-    SymmetryTarget.Lambda_omega: ("reeb_scalar", "image", "two_sharp"),
+# field -> (label, residual of X against the field); the residuals look the
+# calculus functions up when called, so rebinding them here (as a tracer
+# does) takes effect.  The covariant fields come first: this is the order
+# of the four-field report of theorem_equivalence_check.
+_DIRECT_CHECKS = {
+    "omega": ("L_X omega", lambda cov, con, x: lie_derivative_form(x, cov.omega)),
+    "Omega": ("L_X Omega", lambda cov, con, x: lie_derivative_form(x, cov.Omega)),
+    "E": ("[X, E]", lambda cov, con, x: schouten_bracket(x, con.E)),
+    "Lambda": ("[X, Lambda]", lambda cov, con, x: schouten_bracket(x, con.Lam)),
+}
+
+# target -> (the conditions that cut it out, in report order; the fields
+# whose direct Lie derivatives certify it)
+_TARGETS = {
+    SymmetryTarget.omega: (("one_form", "reeb_scalar", "image"), ("omega",)),
+    SymmetryTarget.Omega: (("closed_kernel",), ("Omega",)),
+    SymmetryTarget.E: (("reeb_vector", "reeb_scalar"), ("E",)),
+    SymmetryTarget.Lambda: (("lambda_headline", "image", "two_sharp"), ("Lambda",)),
+    SymmetryTarget.cov_pair: (
+        ("closed_kernel", "reeb_scalar", "image"), ("omega", "Omega")
+    ),
+    SymmetryTarget.contra_pair: (
+        ("reeb_vector", "reeb_scalar", "image", "two_sharp"), ("E", "Lambda")
+    ),
+    SymmetryTarget.E_Omega: (("closed_kernel", "reeb_scalar"), ("E", "Omega")),
+    SymmetryTarget.Lambda_Omega: (("closed_kernel", "image"), ("Lambda", "Omega")),
+    SymmetryTarget.E_omega: (("reeb_vector", "reeb_scalar", "image"), ("E", "omega")),
+    SymmetryTarget.Lambda_omega: (
+        ("reeb_scalar", "image", "two_sharp"), ("Lambda", "omega")
+    ),
 }
 
 
@@ -376,11 +394,12 @@ def _condition_report(
     the same (s, g) and gains the new ones, so reports that share it
     evaluate each condition once.
     """
-    for name in _CONDITION_BUILDERS[target]:
+    names, _ = _TARGETS[target]
+    for name in names:
         if name not in evaluated:
             label, builder = _CONDITIONS[name]
             evaluated[name] = CheckEntry.of(label, builder(s, g))
-    entries = tuple(evaluated[name] for name in _CONDITION_BUILDERS[target])
+    entries = tuple(evaluated[name] for name in names)
     return ConditionReport(f"generator conditions for target {target.value}", entries)
 
 
@@ -398,31 +417,6 @@ def check_generator_conditions(
     return _condition_report(_setting(cov, con), g, target, {})
 
 
-# field -> (label, residual of X against the field); the residuals look the
-# calculus functions up when called, so rebinding them here (as a tracer
-# does) takes effect.  The covariant fields come first: this is the order
-# of the four-field report of theorem_equivalence_check.
-_DIRECT_CHECKS = {
-    "omega": ("L_X omega", lambda cov, con, x: lie_derivative_form(x, cov.omega)),
-    "Omega": ("L_X Omega", lambda cov, con, x: lie_derivative_form(x, cov.Omega)),
-    "E": ("[X, E]", lambda cov, con, x: schouten_bracket(x, con.E)),
-    "Lambda": ("[X, Lambda]", lambda cov, con, x: schouten_bracket(x, con.Lam)),
-}
-
-_DIRECT_FIELDS = {
-    SymmetryTarget.omega: ("omega",),
-    SymmetryTarget.Omega: ("Omega",),
-    SymmetryTarget.E: ("E",),
-    SymmetryTarget.Lambda: ("Lambda",),
-    SymmetryTarget.cov_pair: ("omega", "Omega"),
-    SymmetryTarget.contra_pair: ("E", "Lambda"),
-    SymmetryTarget.E_Omega: ("E", "Omega"),
-    SymmetryTarget.Lambda_Omega: ("Lambda", "Omega"),
-    SymmetryTarget.E_omega: ("E", "omega"),
-    SymmetryTarget.Lambda_omega: ("Lambda", "omega"),
-}
-
-
 def check_symmetry_direct(
     cov: CovariantPair,
     con: ContravariantPair,
@@ -432,9 +426,10 @@ def check_symmetry_direct(
     """Direct Lie-derivative certification that X preserves the target."""
     if x.degree != 1:
         raise StructureError("symmetry candidate must be a vector field")
-    checks = [_DIRECT_CHECKS[field] for field in _DIRECT_FIELDS[target]]
+    _, fields = _TARGETS[target]
     entries = tuple(
-        CheckEntry.of(label, residual(cov, con, x)) for label, residual in checks
+        CheckEntry.of(label, residual(cov, con, x))
+        for label, residual in (_DIRECT_CHECKS[field] for field in fields)
     )
     return ConditionReport(f"direct symmetry of {target.value}", entries)
 
@@ -456,9 +451,10 @@ class EquivalenceReport:
         a, b, c = self.verdicts
         return a == b == c
 
-    @property
-    def ok(self) -> bool:
-        return self.agree
+    def summary(self, label: str) -> CheckEntry:
+        """One entry: the routes agree, with their verdicts in parentheses."""
+        shown = "/".join("pass" if v else "fail" for v in self.verdicts)
+        return CheckEntry.verdict(f"{label} ({shown})", self.agree)
 
 
 def theorem_equivalence_check(
@@ -989,7 +985,8 @@ def _symbol_rows(
     """
     width = s.cov.chart.dim + 1
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for name in _CONDITION_BUILDERS[target]:
+    names, _ = _TARGETS[target]
+    for name in names:
         symbols = s.symbols(_CONDITIONS[name][1])
         for key, (_, per_slot) in symbols.items():
             for m, exponent in enumerate(monomials):

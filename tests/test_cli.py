@@ -359,6 +359,24 @@ class TestInputErrors:
         assert "invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,content",
+        [
+            (["classify", "-s"], b"\xff"),
+            (["classify", "-s"], b'{"dimension": ' + b"1" * 5000 + b"}"),
+            (["classify", "-s"], b"[" * 100_000 + b"]" * 100_000),
+            (["bracket", "-s", fixture("acc3"), "-p"], b"[" * 100_000 + b"]" * 100_000),
+        ],
+        ids=["not-utf8", "long-integer", "deep-nesting", "deep-nesting-pairs"],
+    )
+    def test_undecodable_json(self, tmp_path, capsys, command, content):
+        # no message text: Python before 3.10.7 reads an integer of any length
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run(command + [str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "mutate,needle",
         [
             (lambda d: d.pop("Omega"), "missing key"),

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cckit import (
     BracketMode,
     Chart,
+    CheckEntry,
+    ConditionReport,
     DiffForm,
     GeneratorPair,
     Multivector,
@@ -53,8 +55,9 @@ from cckit.algebra import Poly, common_denominator, rational_nullspace
 from cckit.exterior import coordinate_vector, scalar_form, zero_form
 from cckit.structures import CovariantPair, StructureError
 from cckit.symmetries import (
-    _CONDITION_BUILDERS,
     _CONDITIONS,
+    _TARGETS,
+    EquivalenceReport,
     _first_order_symbols,
     _setting,
     _shifted_numerator,
@@ -348,11 +351,39 @@ class TestEquivalenceTheorem:
     def test_positive_and_negative_instances(self, duals):
         cov, con = duals["acc3"]
         good = theorem_equivalence_check(cov, con, acc3_hand_generators()[0])
-        assert good.verdicts == (True, True, True) and good.ok
+        assert good.verdicts == (True, True, True) and good.agree
         reeb_pair = GeneratorPair(zero_form(CHART3, 1), Scalar.one(3))
         bad = theorem_equivalence_check(cov, con, reeb_pair)
         assert bad.verdicts == (False, False, False)
         assert bad.agree
+
+    def test_each_condition_is_evaluated_once(self, duals, monkeypatch):
+        # the Reeb-scalar and image conditions belong to both pair targets
+        calls = dict.fromkeys(_CONDITIONS, 0)
+        for condition, (label, builder) in list(_CONDITIONS.items()):
+
+            def counting(s, g, builder=builder, condition=condition):
+                calls[condition] += 1
+                return builder(s, g)
+
+            monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
+        cov, con = duals["acc3"]
+        theorem_equivalence_check(cov, con, acc3_hand_generators()[0])
+        assert calls == {
+            "one_form": 0,
+            "reeb_scalar": 1,
+            "image": 1,
+            "closed_kernel": 1,
+            "reeb_vector": 1,
+            "lambda_headline": 0,
+            "two_sharp": 1,
+        }
+
+    def test_summary_shows_each_route_and_fails_on_disagreement(self):
+        passing = ConditionReport("passing", (CheckEntry.verdict("holds", True),))
+        failing = ConditionReport("failing", (CheckEntry.verdict("holds", False),))
+        entry = EquivalenceReport(passing, failing, passing).summary("routes agree")
+        assert entry == CheckEntry.verdict("routes agree (pass/fail/pass)", False)
 
     def test_direct_report_is_both_pair_targets_in_turn(self, duals):
         rng = random.Random(89)
@@ -664,7 +695,8 @@ def per_monomial_rows(s, target, monomials) -> list[dict[int, Fraction]]:
             )
         basis_pairs.append(GeneratorPair(zero_form(chart, 1), coeff))
 
-    builders = [_CONDITIONS[name][1] for name in _CONDITION_BUILDERS[target]]
+    names, _ = _TARGETS[target]
+    builders = [_CONDITIONS[name][1] for name in names]
     comps_per_pair = [
         [
             {(): residual} if isinstance(residual, Scalar) else residual.comps
