@@ -1,6 +1,8 @@
 """Classification, duality, projections, and the companion pair."""
 
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -34,10 +36,14 @@ from cckit import (
     verify_duality,
     wedge,
 )
-from cckit.exterior import coordinate_form, pairing
+from cckit.cli.files import load_structure
+from cckit.exterior import _merge, coordinate_form, pairing, scalar_form
 from cckit.structures import StructureError, two_form_through_sharp
 
 from conftest import random_form
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 CHART3 = Chart(("x", "y", "z"))
 
@@ -56,6 +62,35 @@ def s3(text: str) -> Scalar:
 
 def form3(degree: int, spec: dict) -> DiffForm:
     return DiffForm(CHART3, degree, {k: s3(v) for k, v in spec.items()})
+
+
+def closed_form_dual(cov: CovariantPair) -> ContravariantPair:
+    """E = (Omega^n)♮ and Lambda = -n (omega ^ Omega^(n-1))♮, with no solve.
+
+    beta♮ is the (dim - k)-vector V with i_V(rho dx^0 ... dx^(dim-1)) = beta
+    for a k-form beta, where rho is the regularity density: its component
+    on an increasing J is the sign of the shuffle (J, rest) times
+    beta_rest / rho, where rest is the complement of J.
+    """
+    chart = cov.chart
+    dim = chart.dim
+    n = dim // 2
+    rho = regularity_density(cov)
+
+    def natural(beta: DiffForm) -> Multivector:
+        comps = {}
+        for J in combinations(range(dim), dim - beta.degree):
+            rest = tuple(i for i in range(dim) if i not in J)
+            if rest in beta.comps:
+                sign, _ = _merge(J, rest)
+                comps[J] = beta.comps[rest] * sign / rho
+        return Multivector(chart, dim - beta.degree, comps)
+
+    powers = [scalar_form(chart, Scalar.one(dim))]
+    for _ in range(n):
+        powers.append(wedge(powers[-1], cov.Omega))
+    lam = natural(wedge(cov.omega, powers[n - 1])).scale(-n)
+    return ContravariantPair(natural(powers[n]), lam)
 
 
 def pre_cosymplectic_pair() -> CovariantPair:
@@ -147,6 +182,52 @@ class TestDualize:
             found += 1
             con = dualize(candidate)
             assert verify_duality(candidate, con).ok
+
+    @pytest.mark.parametrize("name", ["cosym3", "contact3", "acc3", "contact5"])
+    def test_closed_form_dual_on_catalog(self, name, duals):
+        cov, con = duals[name]
+        assert closed_form_dual(cov) == con
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            DATA_DIR / "panel_pair_dim3.json",
+            DATA_DIR / "panel_pair_dim5.json",
+            BENCH_INPUTS / "acc5b.json",
+        ],
+        ids=lambda path: path.stem,
+    )
+    def test_closed_form_dual_on_files(self, path):
+        cov = load_structure(str(path))
+        assert closed_form_dual(cov) == dualize(cov)
+
+    def test_closed_form_dual_in_dimension_7(self):
+        # n = 3 fixes the constant -n of Lambda
+        chart = Chart(("x1", "y1", "x2", "y2", "x3", "y3", "z"))
+
+        def form(degree: int, spec: dict) -> DiffForm:
+            return DiffForm(
+                chart, degree, {k: parse_scalar(v, chart) for k, v in spec.items()}
+            )
+
+        omega = form(1, {(6,): "1", (0,): "-y1", (2,): "-y2*x3"})
+        Omega = form(2, {
+            (0, 1): "1 + x1", (2, 3): "1", (4, 5): "1 - y1*y2", (1, 6): "x2",
+        })
+        cov = CovariantPair(omega, Omega)
+        assert closed_form_dual(cov) == dualize(cov)
+
+    def test_closed_form_dual_on_random_pairs(self):
+        rng = random.Random(107)
+        found = 0
+        while found < 40:
+            cov = CovariantPair(
+                random_form(rng, CHART3, 1), random_form(rng, CHART3, 2)
+            )
+            if regularity_density(cov).is_zero():
+                continue
+            found += 1
+            assert closed_form_dual(cov) == dualize(cov)
 
     def test_certificate_entries(self):
         cov = get_example("acc3").cov

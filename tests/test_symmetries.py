@@ -89,6 +89,19 @@ def acc3_hand_generators() -> list[GeneratorPair]:
     ]
 
 
+def count_condition_calls(monkeypatch) -> dict[str, int]:
+    """Wrap every condition builder so that its calls are counted."""
+    calls = dict.fromkeys(_CONDITIONS, 0)
+    for condition, (label, builder) in list(_CONDITIONS.items()):
+
+        def counting(s, g, builder=builder, condition=condition):
+            calls[condition] += 1
+            return builder(s, g)
+
+        monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
+    return calls
+
+
 class TestGeneratorPair:
     def test_arithmetic(self):
         g = pair3({(0,): "x"}, "y")
@@ -359,14 +372,7 @@ class TestEquivalenceTheorem:
 
     def test_each_condition_is_evaluated_once(self, duals, monkeypatch):
         # the Reeb-scalar and image conditions belong to both pair targets
-        calls = dict.fromkeys(_CONDITIONS, 0)
-        for condition, (label, builder) in list(_CONDITIONS.items()):
-
-            def counting(s, g, builder=builder, condition=condition):
-                calls[condition] += 1
-                return builder(s, g)
-
-            monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
+        calls = count_condition_calls(monkeypatch)
         cov, con = duals["acc3"]
         theorem_equivalence_check(cov, con, acc3_hand_generators()[0])
         assert calls == {
@@ -897,14 +903,7 @@ class TestStructureContext:
 
     def test_each_builder_runs_once_per_dual(self, monkeypatch):
         # a d = 1 sweep of every target builds each condition's symbols once
-        calls = dict.fromkeys(_CONDITIONS, 0)
-        for condition, (label, builder) in list(_CONDITIONS.items()):
-
-            def counting(s, g, builder=builder, condition=condition):
-                calls[condition] += 1
-                return builder(s, g)
-
-            monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
+        calls = count_condition_calls(monkeypatch)
         cov, con = fresh_dual("contact5")
         for target in SymmetryTarget:
             find_generator_pairs(cov, con, target, 1)
