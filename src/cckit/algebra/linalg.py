@@ -14,7 +14,7 @@ class LinearSolveError(ValueError):
 def _weight(entry: Scalar) -> tuple[int, int]:
     return (
         entry.num.total_degree() + entry.den.total_degree(),
-        len(entry.num.terms) + len(entry.den.terms),
+        len(entry.num.packed) + len(entry.den.packed),
     )
 
 

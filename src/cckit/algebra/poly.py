@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over Q.
 
-A polynomial is a map from exponent vectors (tuples of non-negative ints,
-one slot per chart coordinate) to nonzero rational coefficients.  The
-constructor drops zero coefficients, so dict equality is polynomial
+A polynomial is a map from monomials to nonzero rational coefficients.
+The constructor drops zero coefficients, so dict equality is polynomial
 equality, and stores an integral coefficient as an ``int`` and any other
 as a :class:`~fractions.Fraction`.  Most coefficients are integers, so
 products and sums mostly run on machine ints; since ``2 == Fraction(2)``
@@ -11,6 +10,32 @@ with equal hashes, the choice never shows in equality or printing.
 Monomials are ordered graded-lexicographically (total degree first, then
 lexicographic on the exponent vector), which fixes leading terms and the
 printing order.
+
+Each monomial is stored packed into one int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  With n variables the key has n + 1 fields of
+``FIELD_BITS`` bits: the total degree in the most significant field, then
+the exponents, first variable most significant.  The top bit of every
+field is a guard bit and stays clear, so every field, the total degree
+included, is at most ``MAX_DEGREE``.  Then
+
+* int order is grlex order, so the leading term is ``max`` of the keys;
+* the key of a product of monomials is the sum of their keys;
+* m divides t exactly when ``((t | G) - m) & G == G`` for the mask G of
+  all guard bits: a field of t smaller than that of m borrows its guard
+  bit, and no borrow crosses a field;
+* a partial derivative or a monomial division subtracts a key.
+
+The total degree is checked where a key is made: when an exponent tuple
+is packed, and in ``*``, which compares the sum of the two leading
+degrees with ``MAX_DEGREE``.  Going over raises :class:`TermLimitExceeded`.
+
+The packed dict is ``Poly.packed``; the arithmetic and the hot callers
+read and build it.  ``Poly.terms`` is a read-only view of the same dict
+keyed by exponent tuples, for the code that reads or builds polynomials
+through tuples (the parser and printer, the tests).  ``Poly(nvars,
+terms)`` takes either form: tuple keys are validated and packed, int keys
+are taken as packed.
 
 The environment variable ``CCKIT_MAX_TERMS`` caps the number of stored
 terms per polynomial; exceeding it raises :class:`TermLimitExceeded` so a
@@ -21,8 +46,9 @@ machine.  A non-positive or unset value disables the cap.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 Exponent = tuple[int, ...]
@@ -32,9 +58,13 @@ _ENV_VAR = "CCKIT_MAX_TERMS"
 
 _ZERO = 0
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 class TermLimitExceeded(RuntimeError):
-    """A polynomial grew past the CCKIT_MAX_TERMS cap."""
+    """A polynomial grew past the CCKIT_MAX_TERMS cap or the degree bound."""
 
 
 def _read_term_limit(strict: bool) -> int | None:
@@ -66,10 +96,55 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
+def _degree_error(degree: int) -> TermLimitExceeded:
+    return TermLimitExceeded(
+        f"monomial of total degree {degree} exceeds the degree bound {MAX_DEGREE}"
+    )
+
+
+def pack_exponent(exponent: Exponent, nvars: int) -> int:
+    """The packed key of an exponent tuple; ValueError on a malformed one."""
+    if len(exponent) != nvars:
+        raise ValueError(
+            f"exponent {exponent!r} has {len(exponent)} entries, expected {nvars}"
+        )
+    key = degree = 0
+    for e in exponent:
+        if e < 0:
+            raise ValueError(f"exponent {exponent!r} has a negative entry")
+        key = (key << FIELD_BITS) | e
+        degree += e
+    if degree > MAX_DEGREE:
+        raise _degree_error(degree)
+    return (degree << (FIELD_BITS * nvars)) | key
+
+
+def unpack_exponent(key: int, nvars: int) -> Exponent:
+    return tuple(
+        (key >> (FIELD_BITS * shift)) & _FIELD_MASK
+        for shift in range(nvars - 1, -1, -1)
+    )
+
+
+@lru_cache(maxsize=None)
+def guard_mask(nvars: int) -> int:
+    """The guard bits of all n + 1 fields."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars + 1))
+
+
+@lru_cache(maxsize=None)
+def variable_keys(nvars: int) -> tuple[int, ...]:
+    """The packed key of each variable x_i."""
+    degree_one = 1 << (FIELD_BITS * nvars)
+    return tuple(
+        degree_one | 1 << (FIELD_BITS * (nvars - 1 - i)) for i in range(nvars)
+    )
+
+
 def add_terms(into: dict, terms: dict, factor: Coeff = 1) -> None:
     """into += factor * terms, in place, dropping the entries that cancel.
 
-    Both are sparse maps from a key (an exponent, a matrix column) to a
+    Both are sparse maps from a key (a packed monomial, a matrix column) to a
     nonzero coefficient.  The factor is compared with 1 once per call, so
     the common plain sum multiplies nothing.
     """
@@ -91,22 +166,56 @@ def add_terms(into: dict, terms: dict, factor: Coeff = 1) -> None:
                 del into[key]
 
 
+class TermView(Mapping):
+    """The terms of a polynomial keyed by exponent tuples, read-only."""
+
+    __slots__ = ("_packed", "_nvars")
+
+    def __init__(self, packed: dict[int, Coeff], nvars: int):
+        self._packed = packed
+        self._nvars = nvars
+
+    def __getitem__(self, exponent: Exponent) -> Coeff:
+        try:
+            key = pack_exponent(exponent, self._nvars)
+        except (TypeError, ValueError, TermLimitExceeded):
+            raise KeyError(exponent) from None
+        return self._packed[key]
+
+    def __iter__(self):
+        nvars = self._nvars
+        return (unpack_exponent(key, nvars) for key in self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __repr__(self) -> str:
+        return f"TermView({dict(self.items())!r})"
+
+
 class Poly:
     """Immutable sparse polynomial with rational coefficients.
 
     Every stored coefficient is an ``int`` or a non-integral ``Fraction``.
+    `terms` maps either exponent tuples or packed keys to coefficients,
+    as told by the type of its first key.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "packed")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Coeff] | None = None):
-        clean: dict[Exponent, Coeff] = {}
+    def __init__(
+        self, nvars: int, terms: Mapping[Exponent | int, Coeff] | None = None
+    ):
+        clean: dict[int, Coeff] = {}
         if terms:
-            for exponent, coeff in terms.items():
+            items = terms.items()
+            if type(next(iter(terms))) is not int:
+                items = [(pack_exponent(e, nvars), c) for e, c in items]
+            for key, coeff in items:
                 if coeff:
                     if type(coeff) is not int and coeff.denominator == 1:
                         coeff = coeff.numerator
-                    clean[exponent] = coeff
+                    clean[key] = coeff
         limit = _term_limit
         if limit is not None and len(clean) > limit:
             raise TermLimitExceeded(
@@ -114,10 +223,14 @@ class Poly:
                 f"{_ENV_VAR}={limit}"
             )
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "packed", clean)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> TermView:
+        return TermView(self.packed, self.nvars)
 
     # -- constructors ----------------------------------------------------
 
@@ -127,28 +240,26 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls(nvars, {0: 1})
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "Poly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {0: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range")
-        exponent = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exponent: 1})
+        return cls(nvars, {variable_keys(nvars)[index]: 1})
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(
-            next(iter(self.terms))
-        ))
+        packed = self.packed
+        return not packed or (len(packed) == 1 and 0 in packed)
 
     def constant_value(self) -> Fraction:
         """The constant as a Fraction, so that 1 / value stays exact."""
@@ -156,21 +267,25 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.packed[0])
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.packed:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.packed) >> (FIELD_BITS * self.nvars)
 
     def leading(self) -> tuple[Exponent, Coeff]:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        exponent = max(self.terms, key=grlex_key)
-        return exponent, self.terms[exponent]
+        key = max(self.packed)
+        return unpack_exponent(key, self.nvars), self.packed[key]
 
     def terms_sorted(self) -> list[tuple[Exponent, Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        nvars = self.nvars
+        return [
+            (unpack_exponent(key, nvars), coeff)
+            for key, coeff in sorted(self.packed.items(), reverse=True)
+        ]
 
     def content_signed(self) -> Fraction:
         """gcd of coefficients, carrying the sign of the leading coefficient.
@@ -178,13 +293,13 @@ class Poly:
         Zero polynomial has content 1 so division by the content is always
         legal.
         """
-        if not self.terms:
+        packed = self.packed
+        if not packed:
             return Fraction(1)
-        num = reduce(gcd, (abs(c.numerator) for c in self.terms.values()))
-        den = reduce(lcm, (c.denominator for c in self.terms.values()))
+        num = reduce(gcd, (abs(c.numerator) for c in packed.values()))
+        den = reduce(lcm, (c.denominator for c in packed.values()))
         magnitude = Fraction(num, den)
-        _, lead = self.leading()
-        return magnitude if lead > 0 else -magnitude
+        return magnitude if packed[max(packed)] > 0 else -magnitude
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,35 +309,39 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms = dict(self.terms)
-        add_terms(terms, other.terms)
+        terms = dict(self.packed)
+        add_terms(terms, other.packed)
         return Poly(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.nvars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not self.terms or not other.terms:
+        left, right = self.packed, other.packed
+        if not left or not right:
             return Poly.zero(self.nvars)
-        terms: dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                value = terms.get(exponent, _ZERO) + c1 * c2
+        degree = (max(left) + max(right)) >> (FIELD_BITS * self.nvars)
+        if degree > MAX_DEGREE:
+            raise _degree_error(degree)
+        terms: dict[int, Coeff] = {}
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                key = k1 + k2
+                value = terms.get(key, _ZERO) + c1 * c2
                 if value:
-                    terms[exponent] = value
+                    terms[key] = value
                 else:
-                    del terms[exponent]
+                    del terms[key]
         return Poly(self.nvars, terms)
 
     def scale(self, factor: Coeff) -> "Poly":
         if not factor:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * factor for e, c in self.terms.items()})
+        return Poly(self.nvars, {k: c * factor for k, c in self.packed.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -232,29 +351,34 @@ class Poly:
             result = result * self
         return result
 
-    def shift_down(self, shift: Exponent) -> "Poly":
-        """Divide by the monomial with the given exponent vector (must divide)."""
+    def shift_down(self, shift: int) -> "Poly":
+        """Divide by the monomial with packed key `shift` (must divide)."""
+        guards = guard_mask(self.nvars)
         terms = {}
-        for exponent, coeff in self.terms.items():
-            reduced = tuple(a - b for a, b in zip(exponent, shift))
-            if any(e < 0 for e in reduced):
+        for key, coeff in self.packed.items():
+            if ((key | guards) - shift) & guards != guards:
                 raise ValueError("monomial does not divide every term")
-            terms[reduced] = coeff
+            terms[key - shift] = coeff
         return Poly(self.nvars, terms)
 
-    def exponent_floor(self) -> Exponent:
-        """Componentwise minimum over all exponent vectors (the monomial gcd)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        floors = None
-        for exponent in self.terms:
-            if floors is None:
-                floors = list(exponent)
-            else:
-                for i, e in enumerate(exponent):
-                    if e < floors[i]:
-                        floors[i] = e
-        return tuple(floors)  # type: ignore[arg-type]
+    def exponent_floor(self, *others: "Poly") -> int:
+        """The packed monomial gcd of the terms of self and others.
+
+        That is the componentwise minimum of their exponents.  The scan
+        stops as soon as it reaches 0, the key of the monomial 1.
+        """
+        nvars = self.nvars
+        guards = guard_mask(nvars)
+        floor = None
+        for poly in (self, *others):
+            for key in poly.packed:
+                if floor is None:
+                    floor = key
+                elif ((key | guards) - floor) & guards != guards:
+                    floor = _field_min(floor, key, nvars)
+                if not floor:
+                    return 0
+        return floor or 0
 
     def exact_div(self, divisor: "Poly", step_cap: int | None = None) -> "Poly | None":
         """Exact quotient self / divisor, or None when it does not divide.
@@ -268,18 +392,20 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero(self.nvars)
-        lead_exp, lead_coeff = divisor.leading()
-        remainder = dict(self.terms)
-        quotient: dict[Exponent, Coeff] = {}
+        guards = guard_mask(self.nvars)
+        lead = max(divisor.packed)
+        lead_coeff = divisor.packed[lead]
+        remainder = dict(self.packed)
+        quotient: dict[int, Coeff] = {}
         steps = 0
         while remainder:
             steps += 1
             if step_cap is not None and steps > step_cap:
                 return None
-            top = max(remainder, key=grlex_key)
-            shift = tuple(a - b for a, b in zip(top, lead_exp))
-            if any(e < 0 for e in shift):
+            top = max(remainder)
+            if ((top | guards) - lead) & guards != guards:
                 return None
+            shift = top - lead
             top_coeff = remainder[top]
             if (
                 type(top_coeff) is int
@@ -290,8 +416,8 @@ class Poly:
             else:
                 factor = Fraction(top_coeff, lead_coeff)
             quotient[shift] = factor
-            for exponent, coeff in divisor.terms.items():
-                target = tuple(a + b for a, b in zip(exponent, shift))
+            for key, coeff in divisor.packed.items():
+                target = key + shift
                 value = remainder.get(target, _ZERO) - factor * coeff
                 if value:
                     remainder[target] = value
@@ -304,15 +430,13 @@ class Poly:
     def partial(self, index: int) -> "Poly":
         if not 0 <= index < self.nvars:
             raise IndexError(f"variable index {index} out of range")
-        terms: dict[Exponent, Coeff] = {}
-        for exponent, coeff in self.terms.items():
-            e = exponent[index]
-            if not e:
-                continue
-            lowered = tuple(
-                v - 1 if i == index else v for i, v in enumerate(exponent)
-            )
-            terms[lowered] = terms.get(lowered, _ZERO) + coeff * e
+        offset = FIELD_BITS * (self.nvars - 1 - index)
+        lower = variable_keys(self.nvars)[index]
+        terms: dict[int, Coeff] = {}
+        for key, coeff in self.packed.items():
+            e = (key >> offset) & _FIELD_MASK
+            if e:
+                terms[key - lower] = coeff * e
         return Poly(self.nvars, terms)
 
     def eval_at(self, point: tuple[Coeff, ...]) -> Fraction:
@@ -320,9 +444,9 @@ class Poly:
             raise ValueError("point dimension does not match")
         values = tuple(Fraction(v) for v in point)
         total = Fraction(0)
-        for exponent, coeff in self.terms.items():
+        for key, coeff in self.packed.items():
             term = coeff
-            for value, e in zip(values, exponent):
+            for value, e in zip(values, unpack_exponent(key, self.nvars)):
                 if e:
                     term *= value**e
             total += term
@@ -333,7 +457,7 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.packed == other.packed
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -344,6 +468,17 @@ class Poly:
             f"{coeff}*{exponent}" for exponent, coeff in self.terms_sorted()
         )
         return f"Poly({body})"
+
+
+def _field_min(a: int, b: int, nvars: int) -> int:
+    """The packed componentwise minimum of two packed monomials."""
+    key = degree = 0
+    for shift in range(nvars - 1, -1, -1):
+        e = min((a >> (FIELD_BITS * shift)) & _FIELD_MASK,
+                (b >> (FIELD_BITS * shift)) & _FIELD_MASK)
+        key = (key << FIELD_BITS) | e
+        degree += e
+    return (degree << (FIELD_BITS * nvars)) | key
 
 
 def common_denominator(nvars: int, dens: list[Poly]) -> tuple[Poly, list[Poly]]:

@@ -38,10 +38,8 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_constant():
         c = den.constant_value()
         return (num, den) if c == 1 else (num.scale(1 / c), Poly.one(num.nvars))
-    floor_n = num.exponent_floor()
-    floor_d = den.exponent_floor()
-    shift = tuple(min(a, b) for a, b in zip(floor_n, floor_d))
-    if any(shift):
+    shift = num.exponent_floor(den)
+    if shift:
         num = num.shift_down(shift)
         den = den.shift_down(shift)
     content = den.content_signed()
@@ -54,7 +52,7 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return num, den
     if num == den:
         return Poly.one(num.nvars), Poly.one(num.nvars)
-    quotient = num.exact_div(den, step_cap=2 * len(num.terms) + 16)
+    quotient = num.exact_div(den, step_cap=2 * len(num.packed) + 16)
     if quotient is not None:
         return quotient, Poly.one(num.nvars)
     return num, den
@@ -247,7 +245,7 @@ def sum_over_common_denominator(nvars: int, terms: list[Scalar]) -> Scalar:
     if not terms:
         return Scalar.zero(nvars)
     den, nums = over_common_denominator(nvars, terms)
-    total = dict(nums[0].terms)
+    total = dict(nums[0].packed)
     for num in nums[1:]:
-        add_terms(total, num.terms)
+        add_terms(total, num.packed)
     return Scalar(Poly(nvars, total), den)

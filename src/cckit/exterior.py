@@ -426,7 +426,7 @@ def _add_wedges(
                 merge_sign, key = merged
                 add_terms(
                     sums.setdefault(key, {}),
-                    (d_num * num).terms,
+                    (d_num * num).packed,
                     sign * odd_sign * merge_sign,
                 )
 

@@ -38,7 +38,7 @@ from .algebra import (
     rational_nullspace,
     sum_over_common_denominator,
 )
-from .algebra.poly import Poly
+from .algebra.poly import Poly, pack_exponent, variable_keys
 from .exterior import (
     DiffForm,
     Multivector,
@@ -952,25 +952,28 @@ def _first_order_symbols(
 
 
 def _shifted_numerator(
-    numerators: list[Poly], exponent: tuple[int, ...]
-) -> dict[tuple[int, ...], Fraction]:
+    numerators: list[Poly], exponent: tuple[int, ...], key: int | None = None
+) -> dict[int, Fraction]:
     """The numerator of R(x^e sigma): x^e N_0 + sum_k e_k x^(e - 1_k) N_k.
 
-    Pure exponent shifts of the symbol numerators; coefficients that
-    cancel are dropped.
+    Pure exponent shifts of the symbol numerators, as a packed term dict;
+    coefficients that cancel are dropped.  `key` is the packed form of
+    `exponent`, for callers that pack their monomials once.
     """
-    parts = [(exponent, 1, numerators[0])]
-    for k, e_k in enumerate(exponent):
+    dim = len(exponent)
+    if key is None:
+        key = pack_exponent(exponent, dim)
+    parts = [(key, 1, numerators[0])]
+    for k, (e_k, unit) in enumerate(zip(exponent, variable_keys(dim))):
         if e_k:
-            lowered = exponent[:k] + (e_k - 1,) + exponent[k + 1:]
-            parts.append((lowered, e_k, numerators[k + 1]))
-    out: dict[tuple[int, ...], Fraction] = {}
+            parts.append((key - unit, e_k, numerators[k + 1]))
+    out: dict[int, Fraction] = {}
     for shift, factor, poly in parts:
-        for term, coeff in poly.terms.items():
-            key = tuple(a + b for a, b in zip(term, shift))
+        for term, coeff in poly.packed.items():
+            term += shift
             value = coeff if factor == 1 else factor * coeff
-            out[key] = out[key] + value if key in out else value
-    return {key: coeff for key, coeff in out.items() if coeff}
+            out[term] = out[term] + value if term in out else value
+    return {term: coeff for term, coeff in out.items() if coeff}
 
 
 def _symbol_rows(
@@ -983,16 +986,19 @@ def _symbol_rows(
     exactly when every coefficient of its numerator does: one row per
     (condition, component, numerator monomial).
     """
-    width = s.cov.chart.dim + 1
+    dim = s.cov.chart.dim
+    width = dim + 1
+    packed = [(exponent, pack_exponent(exponent, dim)) for exponent in monomials]
     rows: dict[tuple, dict[int, Fraction]] = {}
     names, _ = _TARGETS[target]
     for name in names:
         symbols = s.symbols(_CONDITIONS[name][1])
         for key, (_, per_slot) in symbols.items():
-            for m, exponent in enumerate(monomials):
+            for m, (exponent, packed_key) in enumerate(packed):
                 for slot, numerators in enumerate(per_slot):
                     column = m * width + slot
-                    for term, coeff in _shifted_numerator(numerators, exponent).items():
+                    shifted = _shifted_numerator(numerators, exponent, packed_key)
+                    for term, coeff in shifted.items():
                         rows.setdefault((name, key, term), {})[column] = coeff
     return list(rows.values())
 
@@ -1002,18 +1008,21 @@ def _vector_field(s: _Setting, g: GeneratorPair) -> Multivector:
 
 
 def _is_trivial(
-    s: _Setting, entries: list[tuple[tuple[int, ...], int, Fraction]]
+    s: _Setting, entries: list[tuple[tuple[int, ...], int, int, Fraction]]
 ) -> bool:
-    """Whether the pair with these (exponent, slot, coefficient) entries has X_g = 0.
+    """Whether the pair with these entries has X_g = 0.
 
-    X_g is linear in (alpha, h) with no derivative, so each component's
-    numerator is the sum of the coefficients times the shifted symbol
-    numerators of the entries.
+    Each entry is (exponent, its packed key, slot, coefficient).  X_g is
+    linear in (alpha, h) with no derivative, so each component's numerator
+    is the sum of the coefficients times the shifted symbol numerators of
+    the entries.
     """
     for _, per_slot in s.symbols(_vector_field).values():
-        total: dict[tuple[int, ...], Fraction] = {}
-        for exponent, slot, coefficient in entries:
-            add_terms(total, _shifted_numerator(per_slot[slot], exponent), coefficient)
+        total: dict[int, Fraction] = {}
+        for exponent, key, slot, coefficient in entries:
+            add_terms(
+                total, _shifted_numerator(per_slot[slot], exponent, key), coefficient
+            )
         if total:
             return False
     return True
@@ -1046,6 +1055,7 @@ def find_generator_pairs(
     chart = cov.chart
     dim = chart.dim
     monomials = _monomials_up_to(chart, max_degree)
+    keys = [pack_exponent(exponent, dim) for exponent in monomials]
     rows = _symbol_rows(s, target, monomials)
 
     # column m * (dim + 1) + i is monomial m in alpha_i, or in h when i == dim
@@ -1055,12 +1065,12 @@ def find_generator_pairs(
         entries = []
         for column, coefficient in vector.items():
             m, slot = divmod(column, width)
-            entries.append((monomials[m], slot, coefficient))
+            entries.append((monomials[m], keys[m], slot, coefficient))
         if not include_trivial and _is_trivial(s, entries):
             continue
-        slot_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(width)]
-        for exponent, slot, coefficient in entries:
-            slot_terms[slot][exponent] = coefficient
+        slot_terms: list[dict[int, Fraction]] = [{} for _ in range(width)]
+        for _, key, slot, coefficient in entries:
+            slot_terms[slot][key] = coefficient
         alpha = DiffForm(
             chart, 1, {(i,): Scalar(Poly(dim, slot_terms[i])) for i in range(dim)}
         )

@@ -15,7 +15,7 @@ from cckit.algebra import (
     refresh_term_limit,
 )
 from cckit.cli.files import load_structure
-from cckit.algebra.poly import TermLimitExceeded
+from cckit.algebra.poly import MAX_DEGREE, TermLimitExceeded
 from cckit.algebra.scalar import PoleError, ScalarDivisionError
 
 CHART3 = Chart(("x", "y", "z"))
@@ -420,3 +420,38 @@ class TestTermLimit:
         finally:
             monkeypatch.delenv("CCKIT_MAX_TERMS")
             refresh_term_limit()
+
+
+class TestExponentKeys:
+    """Exponent tuples are validated once, where they are packed."""
+
+    @pytest.mark.parametrize(
+        "exponent", [(1, 0), (0, 0, 0, 1), (1, -1, 0), (-1, 0, 0)],
+        ids=["short", "long", "negative", "negative first"],
+    )
+    def test_malformed_key_is_rejected(self, exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            Poly(3, {exponent: 1})
+
+    def test_short_key_no_longer_truncates_a_product(self):
+        # zip over a 2-entry and a 3-entry key used to read this as x
+        with pytest.raises(ValueError, match="2 entries, expected 3"):
+            Poly(3, {(1, 0): 1}) * Poly(3, {(0, 0, 1): 1})
+
+    def test_degree_bound_on_packing(self):
+        top = Poly(3, {(0, MAX_DEGREE, 0): 1})
+        assert top.total_degree() == MAX_DEGREE
+        assert top.terms[(0, MAX_DEGREE, 0)] == 1
+        with pytest.raises(TermLimitExceeded, match=f"{MAX_DEGREE + 1}"):
+            Poly(3, {(1, MAX_DEGREE, 0): 1})
+
+    def test_degree_bound_on_products(self):
+        x = Poly.variable(3, 0)
+        half = Poly(3, {(0, 0, MAX_DEGREE // 2): 1})
+        assert (half * half * x).total_degree() == MAX_DEGREE
+        with pytest.raises(TermLimitExceeded) as err:
+            half * half * x * x
+        assert f"total degree {MAX_DEGREE + 1}" in str(err.value)
+        assert f"bound {MAX_DEGREE}" in str(err.value)
+        with pytest.raises(TermLimitExceeded):
+            ((x**32) ** 32) ** 32

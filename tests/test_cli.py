@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cckit.algebra import Scalar, refresh_term_limit
 from cckit.algebra.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
+from cckit.algebra.poly import MAX_DEGREE
 from cckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, run
 from cckit.cli.files import load_structure, structure_spec
 from cckit.report import CheckEntry, ConditionReport
@@ -524,6 +525,19 @@ class TestTermLimit:
             refresh_term_limit()
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_over_range_degree_is_a_size_cap_error(self, tmp_path, capsys):
+        # every power is at most MAX_EXPONENT, but the density has degree 32768
+        doc = json.loads((FIXTURES_DIR / "cosym3.json").read_text(encoding="utf-8"))
+        doc["omega"] = [[[2], "1 + ((x^32)^32)^32"]]
+        path = write_json(tmp_path, "degree.json", doc)
+        assert run(["classify", "-s", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("size cap exceeded:")
+        assert "total degree 32768" in err and f"bound {MAX_DEGREE}" in err
+        doc["omega"] = [[[2], "1 + ((x^32)^32)^31"]]
+        path = write_json(tmp_path, "degree.json", doc)
+        assert run(["classify", "-s", path]) == EXIT_OK
 
     def test_generous_cap_changes_nothing(self, monkeypatch, capsys):
         monkeypatch.setenv("CCKIT_MAX_TERMS", "100000")
