@@ -64,7 +64,11 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class TermLimitExceeded(RuntimeError):
-    """A polynomial grew past the CCKIT_MAX_TERMS cap or the degree bound."""
+    """A polynomial grew past the term cap or the degree bound; `hint` is the remedy."""
+
+    def __init__(self, message: str, hint: str = "simplify the input"):
+        super().__init__(message)
+        self.hint = hint
 
 
 def _read_term_limit(strict: bool) -> int | None:
@@ -220,7 +224,8 @@ class Poly:
         if limit is not None and len(clean) > limit:
             raise TermLimitExceeded(
                 f"polynomial holds {len(clean)} terms, exceeding "
-                f"{_ENV_VAR}={limit}"
+                f"{_ENV_VAR}={limit}",
+                f"raise {_ENV_VAR} or simplify the input",
             )
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "packed", clean)

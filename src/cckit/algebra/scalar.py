@@ -142,12 +142,6 @@ class Scalar:
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self, other: object) -> "Scalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> "Scalar":
         rhs = self._coerce(other)
         if rhs is None:
@@ -164,17 +158,9 @@ class Scalar:
             raise ScalarDivisionError("division by the zero scalar")
         return Scalar(self.num * rhs.den, self.den * rhs.num)
 
-    def __rtruediv__(self, other: object) -> "Scalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs / self
-
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:
-            if self.is_zero():
-                raise ScalarDivisionError("negative power of zero")
-            return Scalar(self.den, self.num) ** (-exponent)
+            raise ValueError("negative exponent on a scalar")
         return Scalar(self.num**exponent, self.den**exponent)
 
     # -- calculus ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Any
 
 from ..algebra import TermLimitExceeded, format_scalar, refresh_term_limit
 from ..algebra.parser import MAX_EXPONENT
-from ..exterior import schouten_bracket
 from ..report import CheckEntry, ConditionReport, format_residual, residual_is_zero
 from ..structures import (
     CovariantPair,
@@ -27,14 +26,7 @@ from ..structures import (
     verify_contravariant_identities,
     verify_duality,
 )
-from ..symmetries import (
-    SymmetryTarget,
-    check_generator_conditions,
-    check_symmetry_direct,
-    pair_bracket,
-    pair_to_vector,
-    theorem_equivalence_check,
-)
+from ..symmetries import PairChecks, SymmetryTarget, commutator_residual, pair_bracket
 from .files import InputError, load_pairs, load_structure, pair_spec, tensor_spec
 from .suite import run_suite
 
@@ -191,9 +183,7 @@ def _cmd_bracket(args, cov: CovariantPair, out: _Output) -> int:
     out.set("bracket", pair_spec(result))
     out.say(f"bracket alpha = {format_residual(result.alpha, chart)}")
     out.say(f"bracket h = {format_scalar(result.h, chart)}")
-    residual = pair_to_vector(cov, con, result) - schouten_bracket(
-        pair_to_vector(cov, con, g1), pair_to_vector(cov, con, g2)
-    )
+    residual = commutator_residual(cov, con, g1, g2, result)
     report = ConditionReport(
         "compatibility with the vector field commutator",
         (CheckEntry.of("X of the bracket minus [X_1, X_2]", residual),),
@@ -209,11 +199,10 @@ def _cmd_symmetry(args, cov: CovariantPair, out: _Output) -> int:
     target = SymmetryTarget(args.target)
     all_ok = True
     for index, g in enumerate(pairs):
-        conditions = check_generator_conditions(cov, con, g, target)
+        checks = PairChecks(cov, con, g)
+        conditions = checks.conditions(target)
         out.report(conditions, chart)
-        direct = check_symmetry_direct(
-            cov, con, pair_to_vector(cov, con, g), target
-        )
+        direct = checks.direct(target)
         out.report(direct, chart)
         agree = conditions.ok == direct.ok
         cross = ConditionReport(
@@ -225,7 +214,7 @@ def _cmd_symmetry(args, cov: CovariantPair, out: _Output) -> int:
         out.report(cross, chart)
         verdicts = [conditions.ok, agree]
         if target in (SymmetryTarget.cov_pair, SymmetryTarget.contra_pair):
-            eq = theorem_equivalence_check(cov, con, g)
+            eq = checks.equivalence()
             three_way = ConditionReport(
                 f"pair {index}: covariant / contravariant / direct verdicts",
                 (eq.summary("three certification routes agree"),),
@@ -276,11 +265,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except TermLimitExceeded as exc:
-        print(
-            f"size cap exceeded: {exc} "
-            "(raise CCKIT_MAX_TERMS or simplify the input)",
-            file=sys.stderr,
-        )
+        print(f"size cap exceeded: {exc} ({exc.hint})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NotRegular as exc:
         print(f"regularity check failed: {exc}", file=sys.stderr)

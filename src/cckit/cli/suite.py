@@ -31,15 +31,13 @@ from ..structures import (
 )
 from ..symmetries import (
     GeneratorPair,
+    PairChecks,
     SymmetryTarget,
     antisymmetrization_identity,
-    check_generator_conditions,
-    check_symmetry_direct,
+    commutator_residual,
     find_generator_pairs,
     leibniz_rule_report,
     pair_bracket,
-    pair_to_vector,
-    theorem_equivalence_check,
 )
 
 
@@ -130,28 +128,24 @@ def _compatibility(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEnt
         g1 = random_pair(rng, cov.chart, degree)
         g2 = random_pair(rng, cov.chart, degree)
         out = pair_bracket(cov, con, g1, g2)
-        residual = pair_to_vector(cov, con, out) - schouten_bracket(
-            pair_to_vector(cov, con, g1), pair_to_vector(cov, con, g2)
-        )
         yield CheckEntry.of(
-            f"trial {trial}: bracket-commutator compatibility", residual
+            f"trial {trial}: bracket-commutator compatibility",
+            commutator_residual(cov, con, g1, g2, out),
         )
 
 
 def _equivalence(rng, cov, con, trials: int, degree: int) -> Iterator[CheckEntry]:
     targets = tuple(SymmetryTarget)
     for trial in range(trials):
-        g = random_pair(rng, cov.chart, degree)
-        x = pair_to_vector(cov, con, g)
-        eq = theorem_equivalence_check(cov, con, g)
-        yield eq.summary(f"trial {trial}: three-way full-symmetry verdicts agree")
+        checks = PairChecks(cov, con, random_pair(rng, cov.chart, degree))
+        yield checks.equivalence().summary(
+            f"trial {trial}: three-way full-symmetry verdicts agree"
+        )
         target = targets[trial % len(targets)]
-        conditions = check_generator_conditions(cov, con, g, target)
-        direct = check_symmetry_direct(cov, con, x, target)
         yield CheckEntry.verdict(
             f"trial {trial}: target {target.value} condition verdict "
             f"matches the direct Lie-derivative verdict",
-            conditions.ok == direct.ok,
+            checks.conditions(target).ok == checks.direct(target).ok,
         )
 
 

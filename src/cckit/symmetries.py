@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
@@ -382,25 +383,60 @@ _TARGETS = {
 }
 
 
-def _condition_report(
-    s: _Setting,
-    g: GeneratorPair,
-    target: SymmetryTarget,
-    evaluated: dict[str, CheckEntry],
-) -> ConditionReport:
-    """The target's generator conditions on g.
+class PairChecks:
+    """The condition and direct entries of one pair, each evaluated once.
 
-    `evaluated` maps condition names to the entries already computed for
-    the same (s, g) and gains the new ones, so reports that share it
-    evaluate each condition once.
+    X_g is built on first use, and x may stand in for g when only direct
+    reports are asked for.  One instance serves one call or one CLI pair:
+    nothing is kept on the pair or on the (cov, con) context.
     """
-    names, _ = _TARGETS[target]
-    for name in names:
-        if name not in evaluated:
-            label, builder = _CONDITIONS[name]
-            evaluated[name] = CheckEntry.of(label, builder(s, g))
-    entries = tuple(evaluated[name] for name in names)
-    return ConditionReport(f"generator conditions for target {target.value}", entries)
+
+    def __init__(
+        self,
+        cov: CovariantPair,
+        con: ContravariantPair,
+        g: GeneratorPair | None = None,
+        x: Multivector | None = None,
+    ):
+        self.cov, self.con, self.g = cov, con, g
+        if x is not None:
+            self.x = x
+        self._evaluated: dict[str, CheckEntry] = {}
+
+    @cached_property
+    def x(self) -> Multivector:
+        return pair_to_vector(self.cov, self.con, self.g)
+
+    def _report(self, title: str, names) -> ConditionReport:
+        """The named conditions and fields (no name is both), new ones evaluated."""
+        for name in names:
+            if name not in self._evaluated:
+                if name in _CONDITIONS:
+                    label, builder = _CONDITIONS[name]
+                    residual = builder(_setting(self.cov, self.con), self.g)
+                else:
+                    label, builder = _DIRECT_CHECKS[name]
+                    residual = builder(self.cov, self.con, self.x)
+                self._evaluated[name] = CheckEntry.of(label, residual)
+        return ConditionReport(title, tuple(self._evaluated[name] for name in names))
+
+    def conditions(self, target: SymmetryTarget) -> ConditionReport:
+        names, _ = _TARGETS[target]
+        return self._report(f"generator conditions for target {target.value}", names)
+
+    def direct(self, target: SymmetryTarget | None = None) -> ConditionReport:
+        """The target's direct Lie derivatives of X, or all four fields'."""
+        if target is None:
+            return self._report("direct symmetry of all four fields", _DIRECT_CHECKS)
+        _, fields = _TARGETS[target]
+        return self._report(f"direct symmetry of {target.value}", fields)
+
+    def equivalence(self) -> "EquivalenceReport":
+        return EquivalenceReport(
+            self.conditions(SymmetryTarget.cov_pair),
+            self.conditions(SymmetryTarget.contra_pair),
+            self.direct(),
+        )
 
 
 def check_generator_conditions(
@@ -414,7 +450,7 @@ def check_generator_conditions(
     Degenerate data (alpha(E) != 0, d alpha != 0) shows up as condition
     failures, never as exceptions.
     """
-    return _condition_report(_setting(cov, con), g, target, {})
+    return PairChecks(cov, con, g).conditions(target)
 
 
 def check_symmetry_direct(
@@ -426,12 +462,7 @@ def check_symmetry_direct(
     """Direct Lie-derivative certification that X preserves the target."""
     if x.degree != 1:
         raise StructureError("symmetry candidate must be a vector field")
-    _, fields = _TARGETS[target]
-    entries = tuple(
-        CheckEntry.of(label, residual(cov, con, x))
-        for label, residual in (_DIRECT_CHECKS[field] for field in fields)
-    )
-    return ConditionReport(f"direct symmetry of {target.value}", entries)
+    return PairChecks(cov, con, x=x).direct(target)
 
 
 @dataclass(frozen=True)
@@ -466,20 +497,17 @@ def theorem_equivalence_check(
     four direct Lie derivatives of X_g give the same verdict; any
     disagreement is a hard failure surfaced through `agree`.
     """
-    s = _setting(cov, con)
-    x = pair_to_vector(cov, con, g)
-    # the Reeb-scalar and image conditions belong to both targets
-    evaluated: dict[str, CheckEntry] = {}
-    covariant = _condition_report(s, g, SymmetryTarget.cov_pair, evaluated)
-    contravariant = _condition_report(s, g, SymmetryTarget.contra_pair, evaluated)
-    direct = ConditionReport(
-        "direct symmetry of all four fields",
-        tuple(
-            CheckEntry.of(label, residual(cov, con, x))
-            for label, residual in _DIRECT_CHECKS.values()
-        ),
+    return PairChecks(cov, con, g).equivalence()
+
+
+def commutator_residual(
+    cov: CovariantPair, con: ContravariantPair,
+    g1: GeneratorPair, g2: GeneratorPair, bracket: GeneratorPair,
+) -> Multivector:
+    """X of the bracket [[g1; g2]] minus [X_g1, X_g2]: zero when they agree."""
+    return pair_to_vector(cov, con, bracket) - schouten_bracket(
+        pair_to_vector(cov, con, g1), pair_to_vector(cov, con, g2)
     )
-    return EquivalenceReport(covariant, contravariant, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +515,14 @@ def theorem_equivalence_check(
 # ---------------------------------------------------------------------------
 
 
-def _require(
-    s: _Setting, g: GeneratorPair, target: SymmetryTarget, role: str
-) -> ConditionReport:
-    report = _condition_report(s, g, target, {})
+def _require(s: _Setting, g: GeneratorPair, target: SymmetryTarget, role: str) -> None:
+    report = PairChecks(s.cov, s.con, g).conditions(target)
     if not report.ok:
         raise PreconditionError(
             f"{role} is not a generator for target {target.value}: "
             + "; ".join(entry.label for entry in report.failures()),
             (report,),
         )
-    return report
 
 
 _MODE_TARGET = {

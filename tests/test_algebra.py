@@ -338,6 +338,13 @@ class TestScalar:
         with pytest.raises(ScalarDivisionError):
             Scalar.one(3) / Scalar.zero(3)
 
+    def test_negative_power_is_rejected(self):
+        # as for Poly: the parser admits no negative exponent, so no caller
+        # needs the reciprocal
+        with pytest.raises(ValueError):
+            parse_scalar("x/(y + 1)", CHART3) ** -1
+        assert parse_scalar("x/(y + 1)", CHART3) ** 0 == Scalar.one(3)
+
     def test_eval_pole(self):
         s = parse_scalar("1/(x - 1)", CHART3)
         with pytest.raises(PoleError):

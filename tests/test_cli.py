@@ -509,7 +509,9 @@ class TestTermLimit:
             monkeypatch.delenv("CCKIT_MAX_TERMS")
             refresh_term_limit()
         assert code == EXIT_INPUT_ERROR
-        assert "CCKIT_MAX_TERMS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("size cap exceeded:")
+        assert "(raise CCKIT_MAX_TERMS or simplify the input)" in err
 
     @pytest.mark.parametrize("name", ["panel_pair_dim3", "panel_pair_dim5"])
     def test_rational_identity_sums_stay_under_the_cap(self, name, monkeypatch, capsys):
@@ -535,6 +537,9 @@ class TestTermLimit:
         err = capsys.readouterr().err
         assert err.startswith("size cap exceeded:")
         assert "total degree 32768" in err and f"bound {MAX_DEGREE}" in err
+        # no setting lifts the degree bound, so the hint names none
+        assert "(simplify the input)" in err
+        assert "CCKIT_MAX_TERMS" not in err
         doc["omega"] = [[[2], "1 + ((x^32)^32)^31"]]
         path = write_json(tmp_path, "degree.json", doc)
         assert run(["classify", "-s", path]) == EXIT_OK

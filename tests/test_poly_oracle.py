@@ -4,15 +4,18 @@ The polynomials have 3, 5 or 7 variables, and some of their monomials sit
 at the top of a field: one exponent, or the total degree, equal to the
 largest value the packed layout holds.  sympy's sparse ring with grlex
 order gives the product, the quotient and remainder of one division, the
-partial derivatives, the leading monomial and the term order.
+partial derivatives, the leading monomial and the term order.  It also
+reads the terms of `Scalar` results, to check the lowest terms that
+`_reduce` promises.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cckit.algebra import Poly
+from cckit.algebra import Poly, Scalar
 from cckit.algebra.poly import MAX_DEGREE
 
 sympy = pytest.importorskip("sympy")
@@ -139,3 +142,33 @@ class TestTermView:
         view = Poly(3, {(1, 0, 2): 4}).terms
         with pytest.raises(TypeError):
             view[(1, 0, 2)] = 5
+
+
+def scalars(nvars: int = 3):
+    """Quotients of small polynomials: few terms, so monomial factors are common."""
+    small = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), coefficients, max_size=3
+    ).map(lambda t: Poly(nvars, t))
+    return st.builds(Scalar, small, small.filter(lambda p: not p.is_zero()))
+
+
+class TestScalarLowestTerms:
+    """No common monomial factor, and a denominator of signed content 1."""
+
+    @given(scalars(), scalars())
+    @settings(max_examples=50, deadline=None)
+    def test_arithmetic_results(self, a, b):
+        results = [a + b, a - b, a * b]
+        if not b.is_zero():
+            results.append(a / b)
+        for value in results:
+            num = to_sympy(value.num).terms()
+            den = to_sympy(value.den).terms()
+            common = [min(column) for column in zip(*(m for m, _ in num + den))]
+            assert not any(common), value
+            content = Fraction(
+                math.gcd(*(int(c.numerator) for _, c in den)),
+                math.lcm(*(int(c.denominator) for _, c in den)),
+            )
+            leading = den[0][1]
+            assert (content if leading > 0 else -content) == 1, value

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,10 +53,13 @@ from cckit import (
 )
 from cckit import symmetries
 from cckit.algebra import Poly, common_denominator, rational_nullspace
+from cckit.cli import run
+from cckit.cli.suite import _equivalence
 from cckit.exterior import coordinate_vector, scalar_form, zero_form
 from cckit.structures import CovariantPair, StructureError
 from cckit.symmetries import (
     _CONDITIONS,
+    _DIRECT_CHECKS,
     _TARGETS,
     EquivalenceReport,
     _first_order_symbols,
@@ -63,7 +67,7 @@ from cckit.symmetries import (
     _shifted_numerator,
 )
 
-from conftest import random_pair, random_poly
+from conftest import FIXTURES_DIR, random_pair, random_poly
 
 CHART3 = Chart(("x", "y", "z"))
 
@@ -100,6 +104,32 @@ def count_condition_calls(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setitem(_CONDITIONS, condition, (label, counting))
     return calls
+
+
+def count_direct_calls(monkeypatch) -> dict[str, int]:
+    """Wrap every direct Lie-derivative residual so that its calls are counted."""
+    calls = dict.fromkeys(_DIRECT_CHECKS, 0)
+    for field, (label, residual) in list(_DIRECT_CHECKS.items()):
+
+        def counting(cov, con, x, residual=residual, field=field):
+            calls[field] += 1
+            return residual(cov, con, x)
+
+        monkeypatch.setitem(_DIRECT_CHECKS, field, (label, counting))
+    return calls
+
+
+def evaluated_once(targets) -> tuple[dict[str, int], dict[str, int]]:
+    """The condition and field counts that evaluate each name of the targets once."""
+    names = {name for target in targets for name in _TARGETS[target][0]}
+    fields = {field for target in targets for field in _TARGETS[target][1]}
+    return (
+        {name: int(name in names) for name in _CONDITIONS},
+        {field: int(field in fields) for field in _DIRECT_CHECKS},
+    )
+
+
+PAIR_TARGETS = (SymmetryTarget.cov_pair, SymmetryTarget.contra_pair)
 
 
 class TestGeneratorPair:
@@ -231,6 +261,23 @@ class TestLeibnizRule:
         assert leibniz_defect(cov, con, g1, g2, f).alpha.is_zero()
         report = leibniz_correction_report(cov, con, g1, g2, f)
         assert not report.ok
+
+    def test_candidate_residual_is_minus_its_sharp(self, duals):
+        # the defect is zero, so the vector comparison leaves exactly
+        # -(Lambda(alpha1, alpha2) df)#: a different candidate leaves another
+        cov, con = duals["acc3"]
+        g1 = pair3({(0,): "y", (1,): "x*z"}, "z")
+        g2 = pair3({(1,): "x", (2,): "1"}, "x + y")
+        f = s3("x*y + z")
+        candidate = lambda_pair(con, g1.alpha, g2.alpha)
+        df = exterior_derivative(scalar_form(CHART3, f))
+        expected = -sharp(con, df.scale(candidate))
+        assert not expected.is_zero()
+        report = leibniz_correction_report(cov, con, g1, g2, f)
+        residual = report.entry(
+            "defect minus Lambda(alpha1, alpha2) df (vector comparison)"
+        ).residual
+        assert residual == expected
 
     def test_correction_report_holds_when_term_degenerates(self, duals):
         # with alpha2 = 0 the candidate term collapses and both sides agree
@@ -385,6 +432,28 @@ class TestEquivalenceTheorem:
             "two_sharp": 1,
         }
 
+    @pytest.mark.parametrize("target", list(SymmetryTarget))
+    def test_cli_symmetry_evaluates_each_residual_once(self, monkeypatch, target):
+        conditions = count_condition_calls(monkeypatch)
+        fields = count_direct_calls(monkeypatch)
+        code = run([
+            "symmetry", "-s", str(FIXTURES_DIR / "contact3.json"),
+            "-p", str(FIXTURES_DIR / "hj_x.json"), "-t", target.value,
+        ])
+        assert code in (0, 1)
+        reports = (target, *PAIR_TARGETS) if target in PAIR_TARGETS else (target,)
+        assert (conditions, fields) == evaluated_once(reports)
+
+    def test_suite_trial_evaluates_each_residual_once(self, duals, monkeypatch):
+        # trial 0 checks the three routes and then the first target, omega
+        conditions = count_condition_calls(monkeypatch)
+        fields = count_direct_calls(monkeypatch)
+        cov, con = duals["acc3"]
+        entries = list(_equivalence(random.Random(5), cov, con, 1, 2))
+        assert len(entries) == 2
+        targets = (*PAIR_TARGETS, SymmetryTarget.omega)
+        assert (conditions, fields) == evaluated_once(targets)
+
     def test_summary_shows_each_route_and_fails_on_disagreement(self):
         passing = ConditionReport("passing", (CheckEntry.verdict("holds", True),))
         failing = ConditionReport("failing", (CheckEntry.verdict("holds", False),))
@@ -420,6 +489,22 @@ class TestReducedBrackets:
                     )
                     plain = pair_bracket(cov, con, hands[i], hands[j])
                     assert pairs_equivalent(cov, con, reduced, plain), mode
+
+    @pytest.mark.parametrize("name", ["cosym3", "contact3", "acc3"])
+    def test_every_mode_on_the_degree_one_basis_of_its_target(self, duals, name):
+        cov, con = duals[name]
+        targets = {
+            BracketMode.omega_sym: SymmetryTarget.omega,
+            BracketMode.Omega_sym: SymmetryTarget.Omega,
+            BracketMode.E_sym: SymmetryTarget.E,
+            BracketMode.full_sym: SymmetryTarget.cov_pair,
+        }
+        for mode, target in targets.items():
+            basis = find_generator_pairs(cov, con, target, 1)
+            for g1, g2 in combinations(basis, 2):
+                reduced = reduced_bracket(cov, con, g1, g2, mode)
+                plain = pair_bracket(cov, con, g1, g2)
+                assert pairs_equivalent(cov, con, reduced, plain), mode
 
     def test_omega_mode_on_cosymplectic(self, duals):
         # on a cosymplectic pair the omega conditions ask only dh = 0
